@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile, KernelTime, Timeline};
 use bolt_graph::{Graph, NodeId, OpKind};
@@ -773,6 +773,17 @@ pub struct ExecutionPlan {
     slots: SlotPlan,
     /// Pool of reusable run workspaces (LIFO).
     pool: Mutex<Vec<Workspace>>,
+    /// The simulator's price of one run, computed on first use.
+    pricing: OnceLock<Pricing>,
+}
+
+/// What pricing a plan yields. Pricing is a pure function of the plan, so
+/// each plan is priced once and every caller reads the same numbers.
+#[derive(Debug)]
+struct Pricing {
+    report: TimingReport,
+    timings: StepTimings,
+    flops: f64,
 }
 
 /// Looks up values for host ops during slot execution: fused-chain
@@ -854,6 +865,7 @@ impl ExecutionPlan {
             packed: Vec::new(),
             slots,
             pool: Mutex::new(Vec::new()),
+            pricing: OnceLock::new(),
         };
         let packed = plan
             .steps
@@ -911,8 +923,12 @@ impl ExecutionPlan {
     /// Floating-point work one run of this plan performs across its
     /// compute kernels (host glue and layout transforms are free). Used
     /// by the serving metrics to weight pad rows into the
-    /// `padding_fraction` gauge.
+    /// `padding_fraction` gauge. Memoized with the plan's price.
     pub fn flops(&self) -> f64 {
+        self.pricing().flops
+    }
+
+    fn count_flops(&self) -> f64 {
         self.steps
             .iter()
             .map(|s| match &s.kind {
@@ -989,21 +1005,32 @@ impl ExecutionPlan {
     // Timing mode
     // -----------------------------------------------------------------
 
-    /// Prices every step on the simulator.
-    pub fn time(&self) -> TimingReport {
-        let mut timeline = Timeline::new();
-        for step in &self.steps {
-            let time = self.step_time(step);
-            timeline.push(step.name.clone(), &time);
-        }
-        TimingReport {
-            total_us: timeline.total_us(),
-            timeline,
-        }
+    /// Every step priced on the simulator. The plan is priced once, on
+    /// first use, and every later call reads the same report.
+    pub fn time(&self) -> &TimingReport {
+        &self.pricing().report
     }
 
-    /// [`ExecutionPlan::time`], reporting each step to `observer` as it
-    /// is priced.
+    /// The per-step view of [`ExecutionPlan::time`]: each step's name,
+    /// simulated time and launch overhead, in execution order.
+    pub fn step_timings(&self) -> &StepTimings {
+        &self.pricing().timings
+    }
+
+    fn pricing(&self) -> &Pricing {
+        self.pricing.get_or_init(|| {
+            let mut timings = StepTimings::default();
+            let report = self.time_observed(&mut timings);
+            Pricing {
+                report,
+                timings,
+                flops: self.count_flops(),
+            }
+        })
+    }
+
+    /// Prices every step on the simulator afresh, reporting each step to
+    /// `observer` as it is priced.
     pub fn time_observed(&self, observer: &mut dyn StepObserver) -> TimingReport {
         let mut timeline = Timeline::new();
         for (i, step) in self.steps.iter().enumerate() {
@@ -1251,9 +1278,11 @@ impl ExecutionPlan {
                 };
                 if Self::row_major_2d(a) && Self::row_major_2d(&packed.weights[0]) {
                     let p = &kernel.problem;
-                    // Tensor stores quantize, so a weight tensor of the
-                    // kernel's element dtype holds exactly-representable
-                    // values and the per-load rounding can be skipped.
+                    // Tensor stores quantize, so an activation or weight
+                    // tensor of the kernel's element dtype holds
+                    // exactly-representable values and the per-load
+                    // rounding can be skipped.
+                    let aq = a.dtype() == p.element;
                     let wq = packed.weights[0].dtype() == p.element;
                     let mut buf = ws.lease(p.m * p.n);
                     kernel.run_into(
@@ -1262,6 +1291,7 @@ impl ExecutionPlan {
                         c,
                         &mut ws.acc,
                         &mut buf,
+                        aq,
                         wq,
                     )?;
                     let d =
@@ -1280,6 +1310,7 @@ impl ExecutionPlan {
                     // kernel, no materialized padded copy.
                     let p = &kernel.problem;
                     let in_c = x.dims4().1;
+                    let xq = x.dtype() == kernel.element;
                     let fq = packed.filter_mats[0].dtype() == kernel.element;
                     let mut buf = ws.lease(p.n * p.out_h() * p.out_w() * p.k);
                     kernel.run_into(
@@ -1290,6 +1321,7 @@ impl ExecutionPlan {
                         &mut ws.cols,
                         &mut ws.acc,
                         &mut buf,
+                        xq,
                         fq,
                     )?;
                     let d = Tensor::from_quantized_vec_nhwc(
@@ -1317,6 +1349,7 @@ impl ExecutionPlan {
                 let a = self.value(state, step.inputs[0])?;
                 if Self::row_major_2d(a) {
                     let (m, n1) = (kernel.gemm1.m, kernel.gemm1.n);
+                    let aq = a.dtype() == kernel.gemm0.element;
                     let wq = packed.weights[0].dtype() == kernel.gemm0.element
                         && packed.weights[1].dtype() == kernel.gemm1.element;
                     let mut buf = ws.lease(m * n1);
@@ -1329,6 +1362,7 @@ impl ExecutionPlan {
                         &mut ws.acc,
                         &mut ws.d0,
                         &mut buf,
+                        aq,
                         wq,
                     )?;
                     let d = Tensor::from_quantized_vec(&[m, n1], kernel.epilogue1.out_dtype, buf)?;
@@ -1351,6 +1385,7 @@ impl ExecutionPlan {
                     let w_slices: Vec<&[f32]> = packed.weights.iter().map(|w| w.data()).collect();
                     let b_refs: Vec<Option<&Tensor>> =
                         packed.biases.iter().map(|b| b.as_deref()).collect();
+                    let aq = a.dtype() == chain.stages[0].problem.element;
                     let wq = chain
                         .stages
                         .iter()
@@ -1365,6 +1400,7 @@ impl ExecutionPlan {
                         &mut ws.d0,
                         &mut ws.d1,
                         &mut buf,
+                        aq,
                         wq,
                     )?;
                     let d = Tensor::from_quantized_vec(&[m, n], last.epilogue.out_dtype, buf)?;
@@ -1381,6 +1417,7 @@ impl ExecutionPlan {
                 if x.layout() == Layout::Nhwc {
                     let p1 = &kernel.conv1;
                     let in_c = x.dims4().1;
+                    let xq = x.dtype() == kernel.element;
                     let fq = packed.filter_mats[0].dtype() == kernel.element
                         && packed.filter_mats[1].dtype() == kernel.element;
                     let mut buf = ws.lease(p1.n * p1.out_h() * p1.out_w() * p1.k);
@@ -1395,6 +1432,7 @@ impl ExecutionPlan {
                         &mut ws.acc,
                         &mut ws.d0,
                         &mut buf,
+                        xq,
                         fq,
                     )?;
                     let d = Tensor::from_quantized_vec_nhwc(
@@ -1430,6 +1468,9 @@ impl ExecutionPlan {
                 Ok(None)
             }
             StepKind::Host => {
+                if let Some(sum) = self.residual_add(step, state, ws)? {
+                    return Ok(Some(sum));
+                }
                 // A Host step may cover a fused injective chain: execute
                 // its nodes in topological order against chain-local
                 // values, returning only the step output.
@@ -1458,6 +1499,41 @@ impl ExecutionPlan {
                     })
             }
         }
+    }
+
+    /// A host step that is a lone rank-2 `Add` of two computed values (a
+    /// transformer block's residual) writes `a + b`, rounded to `a`'s
+    /// dtype exactly as the host op does, into a leased buffer instead of
+    /// a clone of `a`. Returns `None` for every other host step.
+    fn residual_add(
+        &self,
+        step: &Step,
+        state: &[Option<Value<'_>>],
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>> {
+        let node = self.graph.node(step.output);
+        if step.covered.len() != 1 || !matches!(node.kind, OpKind::Add) {
+            return Ok(None);
+        }
+        let (Ok(a), Ok(b)) = (
+            self.value(state, node.inputs[0]),
+            self.value(state, node.inputs[1]),
+        ) else {
+            return Ok(None);
+        };
+        if !Self::row_major_2d(a) || a.shape() != b.shape() {
+            return Ok(None);
+        }
+        let dtype = a.dtype();
+        let mut buf = ws.lease(a.numel());
+        for ((o, &x), &y) in buf.iter_mut().zip(a.data()).zip(b.data()) {
+            *o = dtype.quantize(x + y);
+        }
+        Ok(Some(Tensor::from_quantized_vec(
+            a.shape().dims(),
+            dtype,
+            buf,
+        )?))
     }
 
     // -----------------------------------------------------------------

@@ -25,7 +25,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use bolt_cutlass::{ConfigGenerator, Conv2dConfig, Epilogue, GemmConfig, GemmProblem};
+use bolt_cutlass::{
+    host_parallelism, ConfigGenerator, Conv2dConfig, Epilogue, GemmConfig, GemmProblem,
+};
 use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile};
 use bolt_tensor::conv_ref::Conv2dProblem;
 use bolt_tensor::DType;
@@ -160,15 +162,6 @@ impl From<&Epilogue> for Epilogue2 {
 /// per workload even when many threads request it concurrently: exactly
 /// one thread runs the initializer, the rest block and read the result.
 type Slot = Arc<OnceLock<Option<ProfiledKernel>>>;
-
-/// Worker threads available to [`BoltProfiler::profile_batch`], resolved
-/// once per process: `std::thread::available_parallelism` reads cgroup
-/// quota files on Linux and costs ~10µs per call — real money next to a
-/// batch that resolves in a few hundred microseconds.
-fn host_parallelism() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// Locally-accumulated stats, merged into the shared [`ProfilerStats`]
 /// once per call (or once per worker thread in [`BoltProfiler::profile_batch`])

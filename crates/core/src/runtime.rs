@@ -211,8 +211,8 @@ impl CompiledModel {
         self.plan.workspace_bytes()
     }
 
-    /// Prices every step on the simulator.
-    pub fn time(&self) -> TimingReport {
+    /// Every step priced on the simulator ([`ExecutionPlan::time`]).
+    pub fn time(&self) -> &TimingReport {
         self.plan.time()
     }
 

@@ -328,9 +328,12 @@ impl B2bGemmKernel {
     /// spread across threads; every stripe is independent, so results are
     /// unchanged.
     ///
-    /// `weights_quantized` asserts that `w0` and `w1` are already exactly
-    /// representable in the element dtype (see
-    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)).
+    /// `a_quantized` asserts that `a` is already exactly representable in
+    /// the first GEMM's element dtype, and `weights_quantized` the same of
+    /// `w0` and `w1` (see
+    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)). The
+    /// second GEMM reads `D0` in place when the first epilogue already
+    /// rounds it to the second GEMM's element dtype.
     ///
     /// # Errors
     ///
@@ -346,6 +349,7 @@ impl B2bGemmKernel {
         acc: &mut Vec<f32>,
         d0: &mut Vec<f32>,
         out: &mut [f32],
+        a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
         let (m, k0) = (self.gemm0.m, self.gemm0.k);
@@ -366,7 +370,7 @@ impl B2bGemmKernel {
         }
         let tb_m = self.config0.threadblock.m;
         let stripes = m.div_ceil(tb_m);
-        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let threads = crate::host_parallelism();
         if threads > 1 && stripes > 1 && m >= self.parallel_m_rows.max(1) {
             let workers = threads.min(stripes);
             let per = stripes.div_ceil(workers);
@@ -394,6 +398,7 @@ impl B2bGemmKernel {
                             &mut acc,
                             &mut d0,
                             chunk,
+                            a_quantized,
                             weights_quantized,
                         ) {
                             *result.lock().unwrap() = Err(e);
@@ -415,6 +420,7 @@ impl B2bGemmKernel {
                 acc,
                 d0,
                 out,
+                a_quantized,
                 weights_quantized,
             )
         }
@@ -435,9 +441,11 @@ impl B2bGemmKernel {
         acc: &mut Vec<f32>,
         d0: &mut Vec<f32>,
         out: &mut [f32],
+        a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
         let (m, n0, k0) = (self.gemm0.m, self.gemm0.n, self.gemm0.k);
+        let d0_quantized = self.epilogue0.out_dtype == self.gemm1.element;
         let n1 = self.gemm1.n;
         let tb_m = self.config0.threadblock.m;
         let base = lo * tb_m;
@@ -458,6 +466,7 @@ impl B2bGemmKernel {
                 c0,
                 acc,
                 d0,
+                a_quantized,
                 weights_quantized,
             )?;
 
@@ -469,7 +478,7 @@ impl B2bGemmKernel {
             };
             k1_kernel.problem.m = rows;
             let out_rows = &mut out[(row0 - base) * n1..(row0 - base + rows) * n1];
-            k1_kernel.run_into(d0, w1, c1, acc, out_rows, weights_quantized)?;
+            k1_kernel.run_into(d0, w1, c1, acc, out_rows, d0_quantized, weights_quantized)?;
         }
         Ok(())
     }
@@ -742,9 +751,12 @@ impl B2bConvKernel {
     /// input channels are read with the channel pad folded into im2col.
     /// Bit-identical to [`B2bConvKernel::run`] on the padded input.
     ///
-    /// `filters_quantized` asserts that `fm0` and `fm1` are already
-    /// exactly representable in the element dtype (see
-    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)).
+    /// `input_quantized` asserts that `input_nhwc` is already exactly
+    /// representable in the element dtype, and `filters_quantized` the
+    /// same of `fm0` and `fm1` (see
+    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)). The
+    /// second conv reads `D0` in place when the first epilogue already
+    /// rounds it to the element dtype.
     ///
     /// # Errors
     ///
@@ -762,14 +774,36 @@ impl B2bConvKernel {
         acc: &mut Vec<f32>,
         d0: &mut Vec<f32>,
         out: &mut [f32],
+        input_quantized: bool,
         filters_quantized: bool,
     ) -> Result<()> {
         let k0 = Conv2dKernel::new(self.conv0, self.config0, self.epilogue0, self.element);
         let (m0, n0, _) = self.conv0.implicit_gemm_mnk();
         d0.resize(m0 * n0, 0.0);
-        k0.run_into(input_nhwc, in_c, fm0, b0, cols, acc, d0, filters_quantized)?;
+        k0.run_into(
+            input_nhwc,
+            in_c,
+            fm0,
+            b0,
+            cols,
+            acc,
+            d0,
+            input_quantized,
+            filters_quantized,
+        )?;
         let k1 = Conv2dKernel::new(self.conv1, self.config1, self.epilogue1, self.element);
-        k1.run_into(d0, self.conv1.c, fm1, b1, cols, acc, out, filters_quantized)
+        let d0_quantized = self.epilogue0.out_dtype == self.element;
+        k1.run_into(
+            d0,
+            self.conv1.c,
+            fm1,
+            b1,
+            cols,
+            acc,
+            out,
+            d0_quantized,
+            filters_quantized,
+        )
     }
 
     /// Performance profile of the fused kernel (one launch, no

@@ -264,9 +264,12 @@ impl PersistentGemmChain {
     /// read in place, and the final stage writes `out` directly.
     /// Bit-identical to [`PersistentGemmChain::run`].
     ///
-    /// `weights_quantized` asserts that every slice in `weights` is
-    /// already exactly representable in its stage's element dtype (see
-    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)).
+    /// `a_quantized` asserts that `a` is already exactly representable in
+    /// the first stage's element dtype, and `weights_quantized` that every
+    /// slice in `weights` is in its stage's (see
+    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)). A
+    /// later stage reads its input in place when the previous stage's
+    /// epilogue already rounds to the stage's element dtype.
     ///
     /// # Errors
     ///
@@ -281,6 +284,7 @@ impl PersistentGemmChain {
         ping: &mut Vec<f32>,
         pong: &mut Vec<f32>,
         out: &mut [f32],
+        a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
         if weights.len() != self.stages.len() || biases.len() != self.stages.len() {
@@ -297,6 +301,11 @@ impl PersistentGemmChain {
                 parallel_m_rows: self.parallel_m_rows,
             };
             let numel = stage.problem.m * stage.problem.n;
+            let aq = if i == 0 {
+                a_quantized
+            } else {
+                self.stages[i - 1].epilogue.out_dtype == stage.problem.element
+            };
             if i == last {
                 let src: &[f32] = if i == 0 {
                     a
@@ -305,16 +314,16 @@ impl PersistentGemmChain {
                 } else {
                     pong
                 };
-                kernel.run_into(src, w, *b, acc, out, weights_quantized)?;
+                kernel.run_into(src, w, *b, acc, out, aq, weights_quantized)?;
             } else if i == 0 {
                 ping.resize(numel, 0.0);
-                kernel.run_into(a, w, *b, acc, ping, weights_quantized)?;
+                kernel.run_into(a, w, *b, acc, ping, aq, weights_quantized)?;
             } else if i % 2 == 1 {
                 pong.resize(numel, 0.0);
-                kernel.run_into(ping, w, *b, acc, pong, weights_quantized)?;
+                kernel.run_into(ping, w, *b, acc, pong, aq, weights_quantized)?;
             } else {
                 ping.resize(numel, 0.0);
-                kernel.run_into(pong, w, *b, acc, ping, weights_quantized)?;
+                kernel.run_into(pong, w, *b, acc, ping, aq, weights_quantized)?;
             }
         }
         Ok(())

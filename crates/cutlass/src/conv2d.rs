@@ -163,10 +163,12 @@ impl Conv2dKernel {
     /// the output activation directly. Bit-identical to
     /// [`Conv2dKernel::run`] on the channel-padded input.
     ///
-    /// `filter_quantized` is forwarded as the GEMM's `b_quantized`
-    /// assertion: pass `true` only when every element of `filter_matrix`
-    /// is already exactly representable in the problem's element dtype
-    /// (see [`GemmKernel::run_into`]).
+    /// `input_quantized` and `filter_quantized` are forwarded as the
+    /// GEMM's `a_quantized` and `b_quantized` assertions: pass `true` only
+    /// when every element of `input_nhwc` (respectively `filter_matrix`)
+    /// is already exactly representable in the element dtype (see
+    /// [`GemmKernel::run_into`]). The im2col copy and its zero padding
+    /// keep that property, so the GEMM reads the lowered matrix in place.
     ///
     /// # Errors
     ///
@@ -181,6 +183,7 @@ impl Conv2dKernel {
         cols: &mut Vec<f32>,
         acc: &mut Vec<f32>,
         out: &mut [f32],
+        input_quantized: bool,
         filter_quantized: bool,
     ) -> Result<()> {
         if let Some(b) = bias {
@@ -201,7 +204,15 @@ impl Conv2dKernel {
             epilogue: self.epilogue,
             parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         };
-        gemm.run_into(cols, filter_matrix, bias, acc, out, filter_quantized)
+        gemm.run_into(
+            cols,
+            filter_matrix,
+            bias,
+            acc,
+            out,
+            input_quantized,
+            filter_quantized,
+        )
     }
 
     /// The kernel's performance profile for the GPU simulator.

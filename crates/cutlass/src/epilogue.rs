@@ -91,6 +91,51 @@ impl Epilogue {
         self.out_dtype.quantize(v)
     }
 
+    /// Stores one row of an accumulator tile, whose first column is
+    /// output column `col0` of output row `row`: `out[j]` receives
+    /// exactly `self.apply(acc[j], row, col0 + j, c)`, bit for bit. The
+    /// bias mode, the bias row slice, the activation and the output dtype
+    /// are resolved once per row instead of once per element. A full `C`
+    /// matrix goes through [`Epilogue::apply`], and non-f16 outputs keep
+    /// the per-element activation and rounding dispatch.
+    pub fn store_row(
+        &self,
+        acc: &[f32],
+        row: usize,
+        col0: usize,
+        c: Option<&Tensor>,
+        out: &mut [f32],
+    ) {
+        let bias = match (self.bias, c) {
+            (BiasMode::None, _) | (_, None) => None,
+            (BiasMode::PerColumn, Some(c)) => Some(&c.data()[col0..col0 + acc.len()]),
+            (BiasMode::Full, Some(_)) => {
+                for (j, (o, &v)) in out.iter_mut().zip(acc).enumerate() {
+                    *o = self.apply(v, row, col0 + j, c);
+                }
+                return;
+            }
+        };
+        let (alpha, beta) = (self.alpha, self.beta);
+        if self.out_dtype != DType::F16 {
+            let (act, q) = (self.activation, self.out_dtype);
+            return store_elems(acc, bias, alpha, beta, |x| q.quantize(act.apply(x)), out);
+        }
+        // One monomorphic loop per activation: a loop-invariant `match`
+        // inside the element loop keeps it from vectorizing, which costs
+        // about 3x on the cheap activations.
+        macro_rules! f16_rows {
+            ($($act:ident),*) => {
+                match self.activation {
+                    $(Activation::$act => store_elems(acc, bias, alpha, beta, |x| {
+                        DType::F16.quantize(Activation::$act.apply(x))
+                    }, out),)*
+                }
+            };
+        }
+        f16_rows!(Identity, ReLU, Gelu, Hardswish, Softplus, Sigmoid, Silu);
+    }
+
     /// Validates that `c` matches the bias mode for an `m x n` output.
     ///
     /// # Errors
@@ -157,6 +202,34 @@ impl Epilogue {
             Sigmoid => "cutlass::epilogue::thread::LinearCombinationSigmoid",
             Silu => "cutlass::epilogue::thread::LinearCombinationSilu",
             Softplus => "cutlass::epilogue::thread::LinearCombinationGeneric<Softplus>",
+        }
+    }
+}
+
+/// `out[j] = finish(alpha * acc[j] + beta * c[j])`, with `c` the bias row
+/// or zeros. Without a bias row the `beta * 0` term stays, as in
+/// [`Epilogue::apply`]: dropping it would leave a `-0.0` sum that `apply`
+/// turns into `+0.0`, and would hide a non-finite `beta`.
+#[inline(always)]
+fn store_elems(
+    acc: &[f32],
+    bias: Option<&[f32]>,
+    alpha: f32,
+    beta: f32,
+    finish: impl Fn(f32) -> f32,
+    out: &mut [f32],
+) {
+    match bias {
+        Some(bias) => {
+            for ((o, &v), &cv) in out.iter_mut().zip(acc).zip(bias) {
+                *o = finish(alpha * v + beta * cv);
+            }
+        }
+        None => {
+            let zero_term = beta * 0.0;
+            for (o, &v) in out.iter_mut().zip(acc) {
+                *o = finish(alpha * v + zero_term);
+            }
         }
     }
 }

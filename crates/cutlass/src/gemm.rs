@@ -117,6 +117,14 @@ impl fmt::Display for GemmProblem {
 /// more than one core.
 pub const PARALLEL_M_ROWS: usize = 256;
 
+/// True when every value survives rounding through `dtype` bit for bit:
+/// the condition a caller asserts by flagging an operand pre-quantized.
+fn holds_exactly(values: &[f32], dtype: DType) -> bool {
+    values
+        .iter()
+        .all(|&v| dtype.quantize(v).to_bits() == v.to_bits())
+}
+
 /// A fully instantiated templated GEMM kernel: problem + config +
 /// epilogue.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -282,13 +290,15 @@ impl GemmKernel {
     /// reduction, if the epilogue requests one, is not computed here; use
     /// [`GemmKernel::run`] when it is needed.
     ///
-    /// `b_quantized` is the caller's assertion that every element of `b`
-    /// is already exactly representable in the problem's element dtype —
-    /// true for operands read out of a `Tensor` whose dtype equals
-    /// `problem.element`, since tensor stores quantize. Rounding is
-    /// idempotent, so skipping the per-load rounding of `b` is then an
-    /// exact no-op and the result stays bit-identical; pass `false`
-    /// whenever the provenance of `b` is not known.
+    /// `a_quantized` and `b_quantized` are the caller's assertion that
+    /// every element of that operand is already exactly representable in
+    /// the problem's element dtype — true for operands read out of a
+    /// `Tensor` whose dtype equals `problem.element`, since tensor stores
+    /// quantize, and for a kernel output whose epilogue dtype equals it.
+    /// Rounding is idempotent, so the main loop then reads the operand in
+    /// place with no staging copy, and the result stays bit-identical;
+    /// pass `false` whenever an operand's provenance is not known, and it
+    /// is staged through rounding once per k-tile.
     ///
     /// When the host has more than one core and the problem is large
     /// enough ([`GemmKernel::parallel_m_rows`]), the threadblock M-stripes are
@@ -299,6 +309,7 @@ impl GemmKernel {
     /// # Errors
     ///
     /// Returns shape errors if operand lengths disagree with the problem.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_into(
         &self,
         a: &[f32],
@@ -306,6 +317,7 @@ impl GemmKernel {
         c: Option<&Tensor>,
         acc: &mut Vec<f32>,
         out: &mut [f32],
+        a_quantized: bool,
         b_quantized: bool,
     ) -> Result<()> {
         let p = &self.problem;
@@ -331,10 +343,20 @@ impl GemmKernel {
             )));
         }
         self.epilogue.validate_c(c, p.m, p.n)?;
+        debug_assert!(
+            !a_quantized || holds_exactly(a, p.element),
+            "A flagged pre-quantized is not representable in {}",
+            p.element
+        );
+        debug_assert!(
+            !b_quantized || holds_exactly(b, p.element),
+            "B flagged pre-quantized is not representable in {}",
+            p.element
+        );
 
         let tb_m = self.config.threadblock.m;
         let grid_m = p.m.div_ceil(tb_m);
-        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let threads = crate::host_parallelism();
         if threads > 1 && grid_m > 1 && p.m >= self.parallel_m_rows.max(1) {
             // Data-parallel M-stripes: each worker owns a contiguous run
             // of threadblock rows, which is a contiguous slice of `out`.
@@ -351,23 +373,34 @@ impl GemmKernel {
                     let (b0, b1) = (bm0, bm1);
                     scope.spawn(move || {
                         let mut local_acc = Vec::new();
-                        self.stripes_into(a, b, c, b0, b1, &mut local_acc, chunk, b_quantized);
+                        self.stripes_into(
+                            a,
+                            b,
+                            c,
+                            b0,
+                            b1,
+                            &mut local_acc,
+                            chunk,
+                            a_quantized,
+                            b_quantized,
+                        );
                     });
                     bm0 = bm1;
                 }
             });
         } else {
-            self.stripes_into(a, b, c, 0, grid_m, acc, out, b_quantized);
+            self.stripes_into(a, b, c, 0, grid_m, acc, out, a_quantized, b_quantized);
         }
         Ok(())
     }
 
     /// Computes threadblock stripes `bm0..bm1` into `out`, whose first
     /// element corresponds to global row `bm0 * tb_m`. Tile walk, k-order,
-    /// and rounding are identical to [`GemmKernel::run`]: the global->smem
-    /// stage quantizes each operand element exactly once per k-tile, and
-    /// the MAC loop then reads the staged values — the same numbers
-    /// [`GemmKernel::run`] recomputes per multiply, in the same order.
+    /// and rounding are identical to [`GemmKernel::run`]: an operand of
+    /// unknown provenance is rounded through the element dtype on its
+    /// global->smem stage, exactly once per k-tile; a pre-quantized one
+    /// is read in place. The MAC loop then multiplies the same numbers
+    /// [`GemmKernel::run`] rounds per multiply, in the same order.
     #[allow(clippy::too_many_arguments)]
     fn stripes_into(
         &self,
@@ -378,22 +411,18 @@ impl GemmKernel {
         bm1: usize,
         acc: &mut Vec<f32>,
         out: &mut [f32],
+        a_quantized: bool,
         b_quantized: bool,
     ) {
         let p = &self.problem;
         let tb = self.config.threadblock;
         let elt = p.element;
-        let out_dtype = self.epilogue.out_dtype;
         let grid_n = p.n.div_ceil(tb.n);
         let split_k = self.config.split_k.max(1);
         let slice_len = p.k.div_ceil(split_k);
         let base_row = bm0 * tb.m;
-        // Shared-memory fragments: one A tile and one B tile, rounded
-        // through the element dtype on the staging copy so the inner
-        // product runs on raw f32 values. Staging B pays for itself once
-        // a tile has more than one row to reuse it; single-row tiles
-        // (GEMV-shaped problems) stream operands directly instead, so
-        // the buffers are grown lazily and stay empty for those.
+        // Shared-memory fragments for operands that still need rounding;
+        // grown lazily, so they stay empty when both are pre-quantized.
         let mut a_smem: Vec<f32> = Vec::new();
         let mut b_smem: Vec<f32> = Vec::new();
 
@@ -416,64 +445,36 @@ impl GemmKernel {
                     for bk in 0..k_tiles {
                         let k0 = slice_start + bk * tb.k;
                         let kk = tb.k.min(slice_end - k0);
-                        if rows == 1 && b_quantized {
-                            // GEMV with pre-quantized B: stream both
-                            // operands straight from global memory.
-                            let acc_row = &mut acc[..cols];
-                            for kc in 0..kk {
-                                let a_val = elt.quantize(a[row0 * p.k + k0 + kc]);
-                                let b_off = (k0 + kc) * p.n + col0;
-                                let b_row = &b[b_off..b_off + cols];
-                                for (d, &b_val) in acc_row.iter_mut().zip(b_row) {
-                                    *d += a_val * b_val;
-                                }
-                            }
-                            continue;
-                        }
-                        if rows == 1 {
-                            // Single-row tile with unknown B provenance:
-                            // staging B has no reuse to pay for itself,
-                            // so quantize it in the stream.
-                            let acc_row = &mut acc[..cols];
-                            for kc in 0..kk {
-                                let a_val = elt.quantize(a[row0 * p.k + k0 + kc]);
-                                let b_off = (k0 + kc) * p.n + col0;
-                                let b_row = &b[b_off..b_off + cols];
-                                for (d, &b_val) in acc_row.iter_mut().zip(b_row) {
-                                    *d += a_val * elt.quantize(b_val);
-                                }
-                            }
-                            continue;
-                        }
-                        if a_smem.len() < rows * kk {
+                        // Each fragment is (data, leading dimension,
+                        // offset of the tile's first element).
+                        let (a_frag, a_ld, a_off) = if a_quantized {
+                            (a, p.k, row0 * p.k + k0)
+                        } else {
                             a_smem.resize(rows * kk, 0.0);
-                        }
-                        for r in 0..rows {
-                            for kc in 0..kk {
-                                a_smem[r * kk + kc] = elt.quantize(a[(row0 + r) * p.k + k0 + kc]);
-                            }
-                        }
-                        if !b_quantized {
-                            if b_smem.len() < kk * cols {
-                                b_smem.resize(kk * cols, 0.0);
-                            }
-                            for kc in 0..kk {
-                                for ccol in 0..cols {
-                                    b_smem[kc * cols + ccol] =
-                                        elt.quantize(b[(k0 + kc) * p.n + col0 + ccol]);
+                            for r in 0..rows {
+                                let src = &a[(row0 + r) * p.k + k0..][..kk];
+                                for (s, &v) in a_smem[r * kk..][..kk].iter_mut().zip(src) {
+                                    *s = elt.quantize(v);
                                 }
                             }
-                        }
-                        for r in 0..rows {
+                            (&a_smem[..], kk, 0)
+                        };
+                        let (b_frag, b_ld, b_off) = if b_quantized {
+                            (b, p.n, k0 * p.n + col0)
+                        } else {
+                            b_smem.resize(kk * cols, 0.0);
                             for kc in 0..kk {
-                                let a_val = a_smem[r * kk + kc];
-                                let b_row = if b_quantized {
-                                    let b_off = (k0 + kc) * p.n + col0;
-                                    &b[b_off..b_off + cols]
-                                } else {
-                                    &b_smem[kc * cols..kc * cols + cols]
-                                };
-                                let acc_row = &mut acc[r * cols..r * cols + cols];
+                                let src = &b[(k0 + kc) * p.n + col0..][..cols];
+                                for (s, &v) in b_smem[kc * cols..][..cols].iter_mut().zip(src) {
+                                    *s = elt.quantize(v);
+                                }
+                            }
+                            (&b_smem[..], cols, 0)
+                        };
+                        for (r, acc_row) in acc.chunks_exact_mut(cols).enumerate() {
+                            let a_row = &a_frag[a_off + r * a_ld..][..kk];
+                            for (kc, &a_val) in a_row.iter().enumerate() {
+                                let b_row = &b_frag[b_off + kc * b_ld..][..cols];
                                 for (d, &b_val) in acc_row.iter_mut().zip(b_row) {
                                     *d += a_val * b_val;
                                 }
@@ -482,13 +483,9 @@ impl GemmKernel {
                     }
                 }
 
-                for r in 0..rows {
-                    for ccol in 0..cols {
-                        let v = self
-                            .epilogue
-                            .apply(acc[r * cols + ccol], row0 + r, col0 + ccol, c);
-                        out[(row0 - base_row + r) * p.n + col0 + ccol] = out_dtype.quantize(v);
-                    }
+                for (r, acc_row) in acc.chunks_exact(cols).enumerate() {
+                    let out_row = &mut out[(row0 - base_row + r) * p.n + col0..][..cols];
+                    self.epilogue.store_row(acc_row, row0 + r, col0, c, out_row);
                 }
             }
         }
@@ -744,18 +741,42 @@ mod tests {
         );
         let mut acc = Vec::new();
         let mut want = vec![0.0f32; 96];
-        base.run_into(a.data(), b.data(), None, &mut acc, &mut want, true)
+        base.run_into(a.data(), b.data(), None, &mut acc, &mut want, true, true)
             .unwrap();
         for threshold in [1usize, 2, 256, usize::MAX] {
             let k = base.clone().with_parallel_m_rows(threshold);
             let mut got = vec![0.0f32; 96];
-            k.run_into(a.data(), b.data(), None, &mut acc, &mut got, true)
+            k.run_into(a.data(), b.data(), None, &mut acc, &mut got, true, true)
                 .unwrap();
             assert_eq!(want, got, "threshold={threshold}");
         }
         // with_parallel_m_rows(0) clamps to 1 rather than claiming
         // every problem.
         assert_eq!(base.clone().with_parallel_m_rows(0).parallel_m_rows, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "A flagged pre-quantized")]
+    fn unquantized_operand_flagged_pre_quantized_is_caught() {
+        let kernel = GemmKernel::new(
+            GemmProblem::fp16(4, 8, 8),
+            GemmConfig::turing_default(),
+            Epilogue::linear(DType::F16),
+        );
+        // f32 values are generally not representable in f16.
+        let a = Tensor::randn(&[4, 8], DType::F32, 3);
+        let b = Tensor::randn(&[8, 8], DType::F16, 4);
+        let mut out = vec![0.0f32; 32];
+        let _ = kernel.run_into(
+            a.data(),
+            b.data(),
+            None,
+            &mut Vec::new(),
+            &mut out,
+            true,
+            true,
+        );
     }
 
     #[test]
@@ -775,10 +796,10 @@ mod tests {
         let mut want = vec![0.0f32; 96 * 40];
         let mut got = vec![0.0f32; 96 * 40];
         sequential
-            .run_into(a.data(), b.data(), None, &mut acc, &mut want, true)
+            .run_into(a.data(), b.data(), None, &mut acc, &mut want, true, true)
             .unwrap();
         parallel
-            .run_into(a.data(), b.data(), None, &mut acc, &mut got, true)
+            .run_into(a.data(), b.data(), None, &mut acc, &mut got, true, true)
             .unwrap();
         assert_eq!(want, got);
     }

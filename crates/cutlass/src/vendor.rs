@@ -114,9 +114,7 @@ where
             .map(|c| bolt_gpu_sim::simulate_kernel(arch, &build(arch, c)).total_us)
             .fold(f64::INFINITY, f64::min);
     }
-    let threads = std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .min(8);
+    let threads = crate::host_parallelism().min(8);
     let chunk = candidates.len().div_ceil(threads);
     crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = candidates

@@ -13,9 +13,11 @@
 //! process-global, and a sibling test allocating tensors concurrently
 //! would pollute the deltas.
 
-use bolt::{BoltCompiler, BoltConfig, CompiledModel};
+use bolt::{BoltCompiler, BoltConfig, CompiledModel, StepKind};
 use bolt_gpu_sim::GpuArch;
+use bolt_models::llm::post_graph;
 use bolt_models::mlp::serving_mlp;
+use bolt_models::DecoderSpec;
 use bolt_tensor::{alloc_count, clone_count, DType, Tensor};
 
 fn compile(widths: &[usize]) -> CompiledModel {
@@ -84,6 +86,35 @@ fn steady_state_runs_allocate_nothing() {
         "reference interpreter allocates per step ({alloc_ref} allocations \
          for {} steps)",
         deep.steps().len()
+    );
+
+    // A decoder block's post-attention plan: GEMM steps with fused
+    // epilogues plus two host residual adds, which write into leased
+    // buffers like every kernel step.
+    let spec = DecoderSpec::tiny();
+    let post = BoltCompiler::new(GpuArch::tesla_t4(), BoltConfig::default())
+        .compile(&post_graph(&spec, 7, 0, 8))
+        .expect("tiny-lm post plan compiles");
+    let host_steps = post
+        .steps()
+        .iter()
+        .filter(|s| matches!(s.kind, StepKind::Host))
+        .count();
+    assert_eq!(host_steps, 2, "both residual adds run as host steps");
+    let post_inputs = vec![
+        Tensor::randn(&[8, spec.hidden], DType::F16, 30),
+        Tensor::randn(&[8, spec.hidden], DType::F16, 31),
+    ];
+    for _ in 0..2 {
+        post.run(&post_inputs).expect("warm post");
+    }
+    let (alloc_post, clone_post) = deltas_during(|| {
+        post.run(&post_inputs).expect("post run");
+    });
+    assert_eq!(
+        (alloc_post, clone_post),
+        (0, 0),
+        "warmed-up tiny-lm post plan must not allocate or clone"
     );
 
     // The batched path shares the same pool: after a warmup call, a

@@ -93,10 +93,6 @@ use crate::online::{OnlineConfig, OnlineEngineManager};
 use crate::registry::{EngineRegistry, ModelEngines};
 use crate::{Result, ServeError};
 
-/// Memoized engine prices the batcher keeps (same bound as the server's
-/// per-worker price cache).
-const PRICE_CACHE_CAP: usize = 64;
-
 /// How the batcher re-forms batches across decode steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMode {
@@ -281,12 +277,6 @@ struct Slot {
     done: Option<FinishReason>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Priced {
-    us: f64,
-    flops: f64,
-}
-
 /// Per-attempt launch accounting, folded into the batcher only at the
 /// step's commit point (so a retried attempt charges nothing twice —
 /// except wall-clock the retry really spent, tracked separately).
@@ -312,7 +302,6 @@ struct ExecCtx {
     registry: Arc<EngineRegistry>,
     online: OnlineEngineManager,
     handles: HashMap<String, Arc<ModelEngines>>,
-    prices: HashMap<usize, Priced>,
 }
 
 impl ExecCtx {
@@ -341,14 +330,6 @@ impl ExecCtx {
             .ok_or_else(|| ServeError::UnknownModel { name: name.into() })?;
         let placed = self.online.acquire(&engines, m)?;
         let bucket = placed.bucket.max(1);
-        let key = Arc::as_ptr(&placed.engine) as usize;
-        if self.prices.len() >= PRICE_CACHE_CAP && !self.prices.contains_key(&key) {
-            self.prices.clear();
-        }
-        let priced = *self.prices.entry(key).or_insert_with(|| Priced {
-            us: placed.engine.time().total_us,
-            flops: placed.engine.flops(),
-        });
 
         let samples: Vec<Vec<Tensor>> = (0..m)
             .map(|i| {
@@ -370,9 +351,10 @@ impl ExecCtx {
             }
             launches += 1;
         }
-        staged.real_flops += priced.flops * real_rows as f64 / bucket as f64;
-        staged.launched_flops += priced.flops * launches as f64;
-        staged.sim_us += priced.us * launches as f64;
+        let flops = placed.engine.flops();
+        staged.real_flops += flops * real_rows as f64 / bucket as f64;
+        staged.launched_flops += flops * launches as f64;
+        staged.sim_us += placed.engine.time().total_us * launches as f64;
         staged.launches += launches;
         if placed.fallback {
             staged.fallback_launches += launches;
@@ -501,7 +483,6 @@ impl ContinuousBatcher {
                 registry,
                 online,
                 handles,
-                prices: HashMap::new(),
             },
             arena: KvArena::new(kv_spec, budget),
             mode: config.mode,
@@ -1158,6 +1139,61 @@ mod tests {
         submit_prompts(&mut engine, prompts, max_new);
         let results = engine.run_to_completion();
         results.into_iter().map(|r| r.tokens).collect()
+    }
+
+    /// Every step is charged the price of the engines it really ran on,
+    /// also across hot-swaps: a plan carries its own price, so an engine
+    /// built where a dropped one lived cannot inherit that engine's price.
+    #[test]
+    fn step_prices_follow_hot_swapped_engines() {
+        let mut engine = batcher(LlmServeConfig {
+            max_slots: 1,
+            ..LlmServeConfig::default()
+        });
+        let registry = Arc::clone(engine.registry());
+        // Launch order within one pass through the model.
+        let names: Vec<String> = (0..2)
+            .flat_map(|l| [qkv_name("tiny-lm", l), post_name("tiny-lm", l)])
+            .chain([lm_head_name("tiny-lm")])
+            .collect();
+        // Installs fresh engines compiled for `rows` rows as bucket 1,
+        // dropping the old ones first; a 2-row engine pads the one live
+        // row and costs more.
+        let install = |rows: usize| {
+            for name in &names {
+                registry.remove_bucket(name, 1).expect("registered");
+                let (plan, _) = registry.compile_bucket(name, rows).expect("compiles");
+                registry.insert_bucket(name, 1, plan).expect("registered");
+            }
+        };
+        let pass_us = || {
+            names.iter().fold(0.0, |sum, name| {
+                let engines = registry.get(name).expect("registered");
+                let (bucket, plan) = engines.engine_for(1).expect("bucket 1 installed");
+                assert_eq!(bucket, 1);
+                sum + plan.time().total_us
+            })
+        };
+        // A one-token prompt keeps every prefill and decode launch at
+        // bucket 1, one launch per sub-model per pass.
+        submit_prompts(&mut engine, &[vec![3]], 8);
+        let mut seen = Vec::new();
+        for rows in [1, 2, 1, 2] {
+            install(rows);
+            let launches = engine.stats().launches;
+            let report = engine.step();
+            let passes = (engine.stats().launches - launches) / names.len() as u64;
+            assert!(passes >= 1, "the step launched every sub-model");
+            let pass = pass_us();
+            let want = passes as f64 * pass;
+            assert!(
+                (report.sim_us - want).abs() <= 1e-9 * want,
+                "step charged {} µs, its engines cost {want} µs",
+                report.sim_us
+            );
+            seen.push(pass);
+        }
+        assert_ne!(seen[0], seen[1], "the swap changed the engines' price");
     }
 
     #[test]

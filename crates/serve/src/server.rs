@@ -1,13 +1,11 @@
 //! The serving front-end: admission control, the batcher thread, and the
 //! worker pool of simulated GPU streams.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bolt::{ExecutionPlan, StepTimings};
 use bolt_tensor::Tensor;
 
 use crate::config::ServeConfig;
@@ -393,30 +391,12 @@ fn batcher_loop(inner: &Inner, tx: &mpsc::SyncSender<BatchJob>) {
     }
 }
 
-/// One memoized simulator pricing of an engine. The map key is the
-/// engine's `Arc` address; holding the `Arc` here pins that address so
-/// it cannot be recycled by a later allocation while the entry lives.
-struct PricedEngine {
-    engine: Arc<ExecutionPlan>,
-    total_us: f64,
-    timings: StepTimings,
-}
-
-/// Per-worker price-cache bound: far above any realistic live engine
-/// count, but keeps a hot-swapping online server from growing the map
-/// without limit.
-const PRICE_CACHE_CAP: usize = 64;
-
 fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
     // This worker's simulated stream: absolute µs (server timeline) until
     // which the stream is busy. Batches dispatched to the same stream
     // queue behind each other, exactly like kernels on a CUDA stream.
     // (Reset on a supervisor restart: a crashed stream loses its backlog.)
     let mut busy_until_us = 0.0f64;
-    // Simulator pricing is a pure function of the engine, so each worker
-    // prices an engine once and reuses the result — at high offered load
-    // the per-batch pricing walk would otherwise dominate real CPU time.
-    let mut price_cache: HashMap<usize, PricedEngine> = HashMap::new();
     loop {
         // Chaos: a worker thread may die *between* batches — it holds no
         // job here, so nothing is lost; the supervisor respawns it.
@@ -433,7 +413,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
                 // job as it resolves them, so whatever remains after a
                 // panic is exactly the unresolved set.
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_batch(inner, &mut job, &mut busy_until_us, &mut price_cache)
+                    execute_batch(inner, &mut job, &mut busy_until_us)
                 }));
                 if let Err(payload) = run {
                     inner.metrics.worker_panic();
@@ -456,12 +436,7 @@ fn worker_loop(inner: &Inner, rx: &Mutex<mpsc::Receiver<BatchJob>>) {
     }
 }
 
-fn execute_batch(
-    inner: &Inner,
-    job: &mut BatchJob,
-    busy_until_us: &mut f64,
-    price_cache: &mut HashMap<usize, PricedEngine>,
-) {
+fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
     // Deadline enforcement at dequeue time: formation-time shedding
     // cannot see time spent *after* the batch formed — waiting in the
     // hand-off channel behind a slow batch. A request whose deadline has
@@ -533,23 +508,9 @@ fn execute_batch(
     // the batch was split). The step observer attributes the batch's
     // latency per kernel, once per launch — with each launch's compute
     // scaled by its occupancy, so the zero-padded tail rows of a partial
-    // final launch are not priced as real per-kernel work. Pricing is a
-    // pure function of the engine, so it is memoized per worker.
-    let key = Arc::as_ptr(&placed.engine) as usize;
-    if price_cache.len() >= PRICE_CACHE_CAP && !price_cache.contains_key(&key) {
-        price_cache.clear();
-    }
-    let priced = price_cache.entry(key).or_insert_with(|| {
-        let mut timings = StepTimings::default();
-        let report = placed.engine.time_observed(&mut timings);
-        PricedEngine {
-            engine: Arc::clone(&placed.engine),
-            total_us: report.total_us,
-            timings,
-        }
-    });
-    debug_assert!(Arc::ptr_eq(&priced.engine, &placed.engine));
-    let kernel_us = priced.total_us * placed.launches as f64;
+    // final launch are not priced as real per-kernel work. Each plan is
+    // priced once, when first asked.
+    let kernel_us = placed.engine.time().total_us * placed.launches as f64;
     let images_per_sec = if kernel_us > 0.0 {
         batch as f64 * 1e6 / kernel_us
     } else {
@@ -565,7 +526,7 @@ fn execute_batch(
             .launch_flops(plan_flops * rows as f64 / bucket as f64, plan_flops);
         inner
             .metrics
-            .kernel_times(&priced.timings.scaled_occupancy(rows, bucket));
+            .kernel_times(&placed.engine.step_timings().scaled_occupancy(rows, bucket));
     }
 
     // Really compute the batch when the model allows it, bucket-sized
