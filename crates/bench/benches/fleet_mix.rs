@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bolt::{BoltConfig, StepTimings, TuneBundle};
+use bolt::{BoltConfig, TuneBundle};
 use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
 use bolt_cluster::{
     Cluster, ClusterConfig, ClusterError, ModelSpec, PlacementClass, PlacementPolicy, ReplicaSpec,
@@ -158,8 +158,7 @@ fn probe_batch8_us() -> f64 {
     let engine = reg
         .compile_heuristic_bucket(MODEL, MAX_BATCH)
         .expect("heuristic compile");
-    let mut timings = StepTimings::default();
-    engine.time_observed(&mut timings).total_us
+    engine.time().total_us
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {

@@ -1020,28 +1020,21 @@ impl ExecutionPlan {
     fn pricing(&self) -> &Pricing {
         self.pricing.get_or_init(|| {
             let mut timings = StepTimings::default();
-            let report = self.time_observed(&mut timings);
+            let mut timeline = Timeline::new();
+            for (i, step) in self.steps.iter().enumerate() {
+                let time = self.step_time(step);
+                timings.observe(i, step, &time);
+                timeline.push(step.name.clone(), &time);
+            }
             Pricing {
-                report,
+                report: TimingReport {
+                    total_us: timeline.total_us(),
+                    timeline,
+                },
                 timings,
                 flops: self.count_flops(),
             }
         })
-    }
-
-    /// Prices every step on the simulator afresh, reporting each step to
-    /// `observer` as it is priced.
-    pub fn time_observed(&self, observer: &mut dyn StepObserver) -> TimingReport {
-        let mut timeline = Timeline::new();
-        for (i, step) in self.steps.iter().enumerate() {
-            let time = self.step_time(step);
-            observer.observe(i, step, &time);
-            timeline.push(step.name.clone(), &time);
-        }
-        TimingReport {
-            total_us: timeline.total_us(),
-            timeline,
-        }
     }
 
     pub(crate) fn step_time(&self, step: &Step) -> KernelTime {
@@ -1524,14 +1517,11 @@ impl ExecutionPlan {
         if !Self::row_major_2d(a) || a.shape() != b.shape() {
             return Ok(None);
         }
-        let dtype = a.dtype();
         let mut buf = ws.lease(a.numel());
-        for ((o, &x), &y) in buf.iter_mut().zip(a.data()).zip(b.data()) {
-            *o = dtype.quantize(x + y);
-        }
+        crate::runtime::add_rows_into(a, b, &mut buf);
         Ok(Some(Tensor::from_quantized_vec(
             a.shape().dims(),
-            dtype,
+            a.dtype(),
             buf,
         )?))
     }
@@ -1657,6 +1647,10 @@ impl ExecutionPlan {
     /// are transposed to NHWC in the same pass) and the padding tail is
     /// zero-filled — padded rows are dead weight, not replicas that
     /// could leak another request's activations.
+    ///
+    /// The batch takes sample 0's dtype. A sample of another dtype is
+    /// rounded to it while packing, so the batch holds only values its
+    /// dtype can represent, as the kernels that read it in place assume.
     fn pack_batch_column(
         &self,
         samples: &[Vec<Tensor>],
@@ -1697,6 +1691,12 @@ impl ExecutionPlan {
                 }
             } else {
                 dst.copy_from_slice(t.data());
+            }
+            if t.dtype() != proto.dtype() {
+                let dtype = proto.dtype();
+                for v in dst.iter_mut() {
+                    *v = dtype.quantize(*v);
+                }
             }
         }
         buf[samples.len() * per..].fill(0.0);

@@ -27,7 +27,7 @@ use bolt_tensor::{activation::apply_slice, DType, Layout, Tensor};
 
 use crate::config::BoltConfig;
 use crate::error::BoltError;
-use crate::plan::{ExecutionPlan, StepObserver};
+use crate::plan::ExecutionPlan;
 use crate::Result;
 
 /// What one step executes.
@@ -214,12 +214,6 @@ impl CompiledModel {
     /// Every step priced on the simulator ([`ExecutionPlan::time`]).
     pub fn time(&self) -> &TimingReport {
         self.plan.time()
-    }
-
-    /// [`CompiledModel::time`], reporting each step to `observer` as it
-    /// is priced.
-    pub fn time_observed(&self, observer: &mut dyn StepObserver) -> TimingReport {
-        self.plan.time_observed(observer)
     }
 
     /// Executes the model on real inputs (one tensor per graph input, in
@@ -582,11 +576,18 @@ fn add_tensors(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         Ok(out)
     } else {
         let mut out = a.clone();
-        let dtype = out.dtype();
-        for (o, bv) in out.data_mut().iter_mut().zip(b.data()) {
-            *o = dtype.quantize(*o + bv);
-        }
+        add_rows_into(a, b, out.data_mut());
         Ok(out)
+    }
+}
+
+/// Host `Add` below rank 4: `out[i] = a[i] + b[i]` over the raw storage,
+/// rounded to `a`'s dtype. The plan's residual adds call it with a buffer
+/// leased from the run workspace instead of a clone of `a`.
+pub(crate) fn add_rows_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
+    let dtype = a.dtype();
+    for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
+        *o = dtype.quantize(x + y);
     }
 }
 

@@ -96,8 +96,7 @@ impl Epilogue {
     /// exactly `self.apply(acc[j], row, col0 + j, c)`, bit for bit. The
     /// bias mode, the bias row slice, the activation and the output dtype
     /// are resolved once per row instead of once per element. A full `C`
-    /// matrix goes through [`Epilogue::apply`], and non-f16 outputs keep
-    /// the per-element activation and rounding dispatch.
+    /// matrix goes through [`Epilogue::apply`].
     pub fn store_row(
         &self,
         acc: &[f32],
@@ -116,24 +115,15 @@ impl Epilogue {
                 return;
             }
         };
-        let (alpha, beta) = (self.alpha, self.beta);
-        if self.out_dtype != DType::F16 {
-            let (act, q) = (self.activation, self.out_dtype);
-            return store_elems(acc, bias, alpha, beta, |x| q.quantize(act.apply(x)), out);
-        }
-        // One monomorphic loop per activation: a loop-invariant `match`
-        // inside the element loop keeps it from vectorizing, which costs
-        // about 3x on the cheap activations.
-        macro_rules! f16_rows {
-            ($($act:ident),*) => {
-                match self.activation {
-                    $(Activation::$act => store_elems(acc, bias, alpha, beta, |x| {
-                        DType::F16.quantize(Activation::$act.apply(x))
-                    }, out),)*
-                }
-            };
-        }
-        f16_rows!(Identity, ReLU, Gelu, Hardswish, Softplus, Sigmoid, Silu);
+        let (act, q) = (self.activation, self.out_dtype);
+        store_elems(
+            acc,
+            bias,
+            self.alpha,
+            self.beta,
+            |x| q.quantize(act.apply(x)),
+            out,
+        );
     }
 
     /// Validates that `c` matches the bias mode for an `m x n` output.

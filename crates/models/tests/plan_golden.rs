@@ -269,6 +269,43 @@ fn run_paths_agree_bit_for_bit() {
     }
 }
 
+/// A packed batch takes its first sample's dtype, and a sample of another
+/// dtype is rounded to it while packing. An f32 request batched behind an
+/// f16 one therefore gets the answer of the same request rounded to f16
+/// up front, and, since every serving model's first kernel rounds its
+/// input to f16 anyway, the answer it gets batched behind another f32
+/// request.
+#[test]
+fn mixed_dtype_batch_rounds_to_the_batch_dtype() {
+    for name in SERVING_MODELS {
+        for config in [BoltConfig::default(), BoltConfig::epilogue_only()] {
+            let model = compile(name, 2, config);
+            let f16 = sample_inputs(name, 7);
+            let dims = f16[0].shape().dims().to_vec();
+            let f32 = vec![Tensor::randn(&dims, DType::F32, 11)];
+            let rounded = Tensor::from_vec(&dims, DType::F16, f32[0].data().to_vec()).unwrap();
+            assert_ne!(
+                rounded.data(),
+                f32[0].data(),
+                "{name}: sample must need rounding"
+            );
+
+            let mixed = model.run_batched(&[f16.clone(), f32.clone()]).expect(name);
+            let oracle = model
+                .plan()
+                .run_batched_reference(&[f16, vec![rounded]])
+                .expect(name);
+            assert_eq!(mixed, oracle, "{name}: f16-first mixed batch vs reference");
+
+            let f32_first = model.run_batched(&[f32.clone(), f32]).expect(name);
+            assert_eq!(
+                mixed[1], f32_first[0],
+                "{name}: an f32 sample's answer depends on its batch"
+            );
+        }
+    }
+}
+
 mod fused_vs_unfused {
     use super::*;
     use proptest::prelude::*;
