@@ -29,8 +29,9 @@
 //!   for another: the winning configs would be stale.
 //!
 //! A version or architecture mismatch is *not* an error — the cache is
-//! an optimization, so [`load`] warns on stderr and reports zero entries,
-//! and the session re-measures and overwrites the file on save.
+//! an optimization, so [`BoltProfiler::load_cache`] warns on stderr and
+//! reports zero entries, and the session re-measures and overwrites the
+//! file on save.
 //!
 //! # Corruption handling
 //!
@@ -39,8 +40,9 @@
 //! rename, disk corruption, a truncated copy) is *detected* rather than
 //! misparsed. Structural corruption — missing/mismatched footer, an
 //! undecodable entry, a malformed header — does not abort the session:
-//! [`load`] **quarantines** the file (renames it to `<name>.corrupt`,
-//! preserving the evidence), warns on stderr, and reports zero entries.
+//! [`BoltProfiler::load_cache`] **quarantines** the file (renames it to
+//! `<name>.corrupt`, preserving the evidence), warns on stderr, and
+//! reports zero entries.
 //! The session warm-starts empty and the next save rebuilds a clean
 //! cache at the original path. Only real I/O failures (permissions,
 //! unreadable file) propagate as errors.
@@ -366,7 +368,7 @@ fn quarantine(path: &Path, reason: &io::Error) -> io::Result<usize> {
 
 /// One architecture's worth of tuned winners, decoupled from a live
 /// profiler — the unit `bolt-tune` packs, merges, and ships. A shard is
-/// what [`save`] writes for a single arch; a [`TuneBundle`] holds one
+/// what [`BoltProfiler::save_cache`] writes for a single arch; a [`TuneBundle`] holds one
 /// shard per architecture fingerprint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneShard {

@@ -6,7 +6,7 @@
 //! test can drive: a [`ChaosConfig`] describes *which* failures to
 //! inject at the seams the stack already has (compile errors, profiler
 //! stalls, worker panics and kills, slow batches, truncated autotune
-//! caches), and a seeded [`FaultPlan`] decides *when* — as a pure
+//! caches), and a seeded `FaultPlan` decides *when* — as a pure
 //! function of `(seed, site, occurrence index)`, so the same seed
 //! reproduces the same fault schedule bit-for-bit, regardless of thread
 //! interleaving.
@@ -16,7 +16,7 @@
 //! Without the `chaos` cargo feature every query in this module is an
 //! inlined no-op: production builds carry no injection branches. With
 //! `--features chaos`, call sites consult the globally installed plan
-//! (if any). Install one with [`install`], which also serializes chaos
+//! (if any). Install one with `install`, which also serializes chaos
 //! tests within a process so two plans never overlap:
 //!
 //! ```ignore
@@ -102,7 +102,7 @@ impl FaultSite {
     }
 }
 
-/// What a [`FaultPlan`] injected, for reproducibility assertions.
+/// What a `FaultPlan` injected, for reproducibility assertions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
     /// The seam the fault fired at.

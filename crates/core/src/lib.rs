@@ -70,7 +70,7 @@ pub use config::BoltConfig;
 pub use error::BoltError;
 pub use faults::{ChaosConfig, FaultEvent, FaultSite};
 pub use plan::{
-    ExecutionPlan, KvArena, KvSpec, KvWorkspace, PackedConsts, StepObserver, StepTiming,
+    ExecutionPlan, KvArena, KvChunks, KvSpec, KvWorkspace, PackedConsts, StepObserver, StepTiming,
     StepTimings,
 };
 pub use profiler::{BoltProfiler, ProfileTask, ProfiledKernel, ProfilerStats};

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile, KernelTime, Timeline};
 use bolt_graph::{Graph, NodeId, OpKind};
 use bolt_tensor::conv_ref::filter_as_matrix;
-use bolt_tensor::{DType, Layout, MatrixLayout, Tensor};
+use bolt_tensor::{DType, Layout, MatrixLayout, Shape, Tensor};
 
 use crate::config::BoltConfig;
 use crate::error::BoltError;
@@ -222,6 +222,9 @@ struct Workspace {
     d0: Vec<f32>,
     /// Chain pong scratch.
     d1: Vec<f32>,
+    /// The slot table, kept between runs so a warm run does not
+    /// allocate one (see [`Frame`]).
+    values: Vec<Option<Value>>,
 }
 
 impl Workspace {
@@ -369,8 +372,9 @@ impl KvWorkspace {
     /// in place. `pos` may lie at or past [`KvWorkspace::len`] (the
     /// rows stay invisible until committed) but must fall inside the
     /// reserved block table — otherwise a recoverable
-    /// [`BoltError::KvCapacity`] is returned. Row-width and layer
-    /// mismatches remain programmer errors (asserts).
+    /// [`BoltError::KvCapacity`] is returned. An out-of-range layer or a
+    /// row of the wrong width is a [`BoltError::BadInput`]; nothing is
+    /// written either way.
     pub fn write_row(
         &mut self,
         layer: usize,
@@ -379,9 +383,14 @@ impl KvWorkspace {
         v_row: &[f32],
     ) -> Result<()> {
         let d = self.spec.kv_dim;
-        assert!(layer < self.spec.layers, "layer {layer} out of range");
-        assert_eq!(k_row.len(), d, "K row width");
-        assert_eq!(v_row.len(), d, "V row width");
+        self.check_layer(layer)?;
+        for (what, row) in [("K", k_row), ("V", v_row)] {
+            if row.len() != d {
+                return Err(BoltError::BadInput {
+                    reason: format!("{what} row of width {} for kv_dim {d}", row.len()),
+                });
+            }
+        }
         if pos >= self.reserved_rows() {
             return Err(BoltError::KvCapacity {
                 pos,
@@ -421,19 +430,20 @@ impl KvWorkspace {
     /// `n * kv_dim` elements. `n` may exceed the committed length (up
     /// to the reserved rows) so a step can read rows it has written
     /// but not yet published. Reading past the reserved block table is
-    /// a recoverable [`BoltError::KvCapacity`].
-    pub fn key_chunks(&self, layer: usize, n: usize) -> Result<Vec<&[f32]>> {
+    /// a recoverable [`BoltError::KvCapacity`], and an out-of-range
+    /// layer a [`BoltError::BadInput`].
+    pub fn key_chunks(&self, layer: usize, n: usize) -> Result<KvChunks<'_>> {
         self.chunks(layer, 0, n)
     }
 
     /// The first `n` value rows of `layer`; see
     /// [`KvWorkspace::key_chunks`].
-    pub fn value_chunks(&self, layer: usize, n: usize) -> Result<Vec<&[f32]>> {
+    pub fn value_chunks(&self, layer: usize, n: usize) -> Result<KvChunks<'_>> {
         self.chunks(layer, 1, n)
     }
 
-    fn chunks(&self, layer: usize, region: usize, n: usize) -> Result<Vec<&[f32]>> {
-        assert!(layer < self.spec.layers, "layer {layer} out of range");
+    fn chunks(&self, layer: usize, region: usize, n: usize) -> Result<KvChunks<'_>> {
+        self.check_layer(layer)?;
         if n > self.reserved_rows() {
             return Err(BoltError::KvCapacity {
                 pos: n,
@@ -441,20 +451,24 @@ impl KvWorkspace {
                 max_seq: self.spec.max_seq,
             });
         }
-        let br = self.spec.block_rows;
-        let d = self.spec.kv_dim;
-        let base = (layer * 2 + region) * br * d;
-        let mut out = Vec::with_capacity(self.spec.blocks_for(n));
-        let mut remaining = n;
-        for block in &self.blocks {
-            if remaining == 0 {
-                break;
-            }
-            let rows = remaining.min(br);
-            out.push(&block.data()[base..base + rows * d]);
-            remaining -= rows;
+        let (br, d) = (self.spec.block_rows, self.spec.kv_dim);
+        Ok(KvChunks {
+            blocks: self.blocks.iter(),
+            base: (layer * 2 + region) * br * d,
+            remaining: n,
+            block_rows: br,
+            kv_dim: d,
+        })
+    }
+
+    fn check_layer(&self, layer: usize) -> Result<()> {
+        if layer < self.spec.layers {
+            Ok(())
+        } else {
+            Err(BoltError::BadInput {
+                reason: format!("KV layer {layer} of a {}-layer cache", self.spec.layers),
+            })
         }
-        Ok(out)
     }
 
     /// Forgets all committed rows (the block table is retained), so a
@@ -473,6 +487,35 @@ impl KvWorkspace {
     fn take_blocks(&mut self) -> Vec<Tensor> {
         self.len = 0;
         std::mem::take(&mut self.blocks)
+    }
+}
+
+/// The first rows of one K or V region of a [`KvWorkspace`], walked as
+/// per-block contiguous chunks in position order (see
+/// [`KvWorkspace::key_chunks`]). Walking allocates nothing, and a clone
+/// restarts the walk, so attention can pass over the rows once per head.
+#[derive(Debug, Clone)]
+pub struct KvChunks<'a> {
+    blocks: std::slice::Iter<'a, Tensor>,
+    /// Offset of the region's first row inside each block.
+    base: usize,
+    /// Rows not yet walked.
+    remaining: usize,
+    block_rows: usize,
+    kv_dim: usize,
+}
+
+impl<'a> Iterator for KvChunks<'a> {
+    type Item = &'a [f32];
+
+    fn next(&mut self) -> Option<&'a [f32]> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let block = self.blocks.next()?;
+        let rows = self.remaining.min(self.block_rows);
+        self.remaining -= rows;
+        Some(&block.data()[self.base..self.base + rows * self.kv_dim])
     }
 }
 
@@ -661,22 +704,78 @@ impl KvArena {
 }
 
 /// A value resident in a buffer slot during one run. Graph inputs that
-/// are already in the internal layout are borrowed straight from the
+/// are already in the internal layout are read straight from the
 /// caller's slice — the old executor cloned every input up front.
-enum Value<'a> {
-    /// An intermediate (or converted input) owned by this run; its
-    /// backing buffer is recycled into the workspace when it dies.
+#[derive(Debug)]
+enum Value {
+    /// An intermediate, converted input or packed batch owned by this
+    /// run; its backing buffer is recycled into the workspace when it
+    /// dies.
     Owned(Tensor),
-    /// A caller-owned input, borrowed for the duration of the run.
-    Borrowed(&'a Tensor),
+    /// Caller input `i`, borrowed for the duration of the run.
+    Input(usize),
 }
 
-impl Value<'_> {
-    fn get(&self) -> &Tensor {
-        match self {
-            Value::Owned(t) => t,
-            Value::Borrowed(t) => t,
+/// The slot table of one run. The table is the workspace's, taken for
+/// the run and handed back by [`Frame::finish`], so a warm run
+/// allocates none.
+struct Frame<'a> {
+    /// The caller's inputs, for [`Value::Input`].
+    inputs: &'a [Tensor],
+    values: Vec<Option<Value>>,
+    /// Samples the batch fills, out of `capacity`.
+    live: usize,
+    capacity: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// An empty table for `plan`, running `live` of `capacity` samples.
+    fn new(
+        plan: &ExecutionPlan,
+        ws: &mut Workspace,
+        inputs: &'a [Tensor],
+        live: usize,
+        capacity: usize,
+    ) -> Self {
+        let mut values = std::mem::take(&mut ws.values);
+        values.resize_with(plan.slots.slot_bytes.len(), || None);
+        Frame {
+            inputs,
+            values,
+            live,
+            capacity,
         }
+    }
+
+    /// The value resident in `slot`, if any.
+    fn get(&self, slot: usize) -> Option<&Tensor> {
+        self.values[slot].as_ref().map(|v| match v {
+            Value::Owned(t) => t,
+            Value::Input(i) => &self.inputs[*i],
+        })
+    }
+
+    /// How many of a GEMM's `m` rows hold live samples. Every graph op
+    /// keeps the batch outermost, so a GEMM whose M is `capacity × r`
+    /// holds `r` rows per sample and only the first `live × r` matter;
+    /// any other M is computed whole.
+    fn live_rows(&self, m: usize) -> usize {
+        if self.live < self.capacity && m.is_multiple_of(self.capacity) {
+            m / self.capacity * self.live
+        } else {
+            m
+        }
+    }
+
+    /// Recycles every buffer the run still owns and hands the emptied
+    /// table back to the workspace.
+    fn finish(mut self, ws: &mut Workspace) {
+        for value in self.values.drain(..) {
+            if let Some(Value::Owned(t)) = value {
+                ws.recycle(t.into_data());
+            }
+        }
+        ws.values = self.values;
     }
 }
 
@@ -767,6 +866,8 @@ pub struct ExecutionPlan {
     pub(crate) graph: Graph,
     pub(crate) steps: Vec<Step>,
     pub(crate) config: BoltConfig,
+    /// The graph inputs, in `Graph::input_ids` order.
+    input_ids: Vec<NodeId>,
     /// Per-step prepacked constants (index-aligned with `steps`).
     packed: Vec<PackedConsts>,
     /// The memory plan.
@@ -791,7 +892,7 @@ struct Pricing {
 /// `run_host_op` via the graph).
 struct HostScope<'a, 'b> {
     plan: &'a ExecutionPlan,
-    state: &'a [Option<Value<'b>>],
+    frame: &'a Frame<'b>,
     locals: &'a HashMap<NodeId, Tensor>,
 }
 
@@ -802,7 +903,7 @@ impl ValueLookup for HostScope<'_, '_> {
                 .slots
                 .slot_of
                 .get(&id)
-                .and_then(|&slot| self.state[slot].as_ref().map(Value::get))
+                .and_then(|&slot| self.frame.get(slot))
         })
     }
 }
@@ -859,6 +960,7 @@ impl ExecutionPlan {
         let slots = SlotPlan::build(&graph, &steps);
         let plan = ExecutionPlan {
             arch,
+            input_ids: graph.input_ids(),
             graph,
             steps,
             config,
@@ -1099,37 +1201,47 @@ impl ExecutionPlan {
         inputs: &[Tensor],
         observer: Option<&mut dyn StepObserver>,
     ) -> Result<Vec<Tensor>> {
+        self.validate_inputs(inputs)?;
         let mut ws = self.acquire_workspace();
-        let result = self.run_with_workspace(inputs, &mut ws, observer);
+        // One of one sample live: the whole batch is computed.
+        let mut frame = Frame::new(self, &mut ws, inputs, 1, 1);
+        let result = self.run_frame(&mut frame, &mut ws, observer);
+        frame.finish(&mut ws);
         self.release_workspace(ws);
         result
     }
 
-    fn run_with_workspace<'a>(
+    /// Binds the caller's inputs, runs every step, and takes the outputs.
+    fn run_frame(
         &self,
-        inputs: &'a [Tensor],
+        frame: &mut Frame<'_>,
         ws: &mut Workspace,
-        mut observer: Option<&mut dyn StepObserver>,
+        observer: Option<&mut dyn StepObserver>,
     ) -> Result<Vec<Tensor>> {
-        let input_ids = self.graph.input_ids();
-        self.validate_inputs(inputs, &input_ids)?;
-
-        let mut state: Vec<Option<Value<'a>>> = Vec::with_capacity(self.slots.slot_bytes.len());
-        state.resize_with(self.slots.slot_bytes.len(), || None);
-        for (&id, tensor) in input_ids.iter().zip(inputs) {
+        for (i, (&id, tensor)) in self.input_ids.iter().zip(frame.inputs).enumerate() {
             // Normalize rank-4 activations to NHWC internally (Bolt's
             // layout transform); anything already in the internal layout
             // is borrowed in place, clone-free.
             let value = if tensor.shape().rank() == 4 && tensor.layout() != Layout::Nhwc {
                 Value::Owned(tensor.to_activation_layout(Layout::Nhwc)?)
             } else {
-                Value::Borrowed(tensor)
+                Value::Input(i)
             };
-            state[self.slots.slot_of[&id]] = Some(value);
+            frame.values[self.slots.slot_of[&id]] = Some(value);
         }
+        self.run_steps(frame, ws, observer)?;
+        self.take_outputs(frame, ws)
+    }
 
+    /// Executes every step over a bound slot table.
+    fn run_steps(
+        &self,
+        frame: &mut Frame<'_>,
+        ws: &mut Workspace,
+        mut observer: Option<&mut dyn StepObserver>,
+    ) -> Result<()> {
         for (i, step) in self.steps.iter().enumerate() {
-            let produced = self.execute_step(i, step, &state, ws)?;
+            let produced = self.execute_step(i, step, frame, ws)?;
             if let Some(obs) = observer.as_deref_mut() {
                 let time = self.step_time(step);
                 obs.observe(i, step, &time);
@@ -1138,15 +1250,20 @@ impl ExecutionPlan {
             // slot released on this very step. Owned buffers go back to
             // the workspace for the next step (or run) to lease.
             for &slot in &self.slots.release_after[i] {
-                if let Some(Value::Owned(t)) = state[slot].take() {
+                if let Some(Value::Owned(t)) = frame.values[slot].take() {
                     ws.recycle(t.into_data());
                 }
             }
             if let Some(tensor) = produced {
-                state[self.slots.slot_of[&step.output]] = Some(Value::Owned(tensor));
+                frame.values[self.slots.slot_of[&step.output]] = Some(Value::Owned(tensor));
             }
         }
+        Ok(())
+    }
 
+    /// Moves the graph outputs out of a finished run, converting
+    /// activations back to the framework's NCHW convention.
+    fn take_outputs(&self, frame: &mut Frame<'_>, ws: &mut Workspace) -> Result<Vec<Tensor>> {
         let outs = self.graph.outputs();
         let mut outputs = Vec::with_capacity(outs.len());
         for (k, &out) in outs.iter().enumerate() {
@@ -1154,19 +1271,16 @@ impl ExecutionPlan {
             // Move the value out of its slot unless a later output reads
             // the same node again.
             let taken = match slot {
-                Some(s) if outs[k + 1..].contains(&out) => {
-                    state[s].as_ref().map(|v| v.get().clone())
-                }
-                Some(s) => state[s].take().map(|v| match v {
+                Some(s) if outs[k + 1..].contains(&out) => frame.get(s).cloned(),
+                Some(s) => frame.values[s].take().map(|v| match v {
                     Value::Owned(t) => t,
-                    Value::Borrowed(t) => t.clone(),
+                    Value::Input(i) => frame.inputs[i].clone(),
                 }),
                 None => None,
             };
             let t = taken.ok_or_else(|| BoltError::BadInput {
                 reason: format!("output {out} was never produced"),
             })?;
-            // Convert activations back to the framework's NCHW convention.
             let t = if t.shape().rank() == 4 && t.layout() == Layout::Nhwc {
                 let nchw = t.to_activation_layout(Layout::Nchw)?;
                 ws.recycle(t.into_data());
@@ -1179,7 +1293,8 @@ impl ExecutionPlan {
         Ok(outputs)
     }
 
-    fn validate_inputs(&self, inputs: &[Tensor], input_ids: &[NodeId]) -> Result<()> {
+    fn validate_inputs(&self, inputs: &[Tensor]) -> Result<()> {
+        let input_ids = &self.input_ids;
         if inputs.len() != input_ids.len() {
             return Err(BoltError::BadInput {
                 reason: format!("expected {} inputs, got {}", input_ids.len(), inputs.len()),
@@ -1213,11 +1328,11 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    fn value<'a, 'b>(&self, state: &'a [Option<Value<'b>>], id: NodeId) -> Result<&'a Tensor> {
+    fn value<'f>(&self, frame: &'f Frame<'_>, id: NodeId) -> Result<&'f Tensor> {
         self.slots
             .slot_of
             .get(&id)
-            .and_then(|&slot| state[slot].as_ref().map(Value::get))
+            .and_then(|&slot| frame.get(slot))
             .ok_or_else(|| BoltError::BadInput {
                 reason: format!("step input {id} not yet computed"),
             })
@@ -1247,7 +1362,7 @@ impl ExecutionPlan {
         &self,
         index: usize,
         step: &Step,
-        state: &[Option<Value<'_>>],
+        frame: &Frame<'_>,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>> {
         // Prepacked constants, or a lazy repack for shapes-only graphs
@@ -1264,9 +1379,9 @@ impl ExecutionPlan {
             StepKind::Gemm {
                 kernel, residual, ..
             } => {
-                let a = self.value(state, step.inputs[0])?;
+                let a = self.value(frame, step.inputs[0])?;
                 let c: Option<&Tensor> = match residual {
-                    Some(r) => Some(self.value(state, *r)?),
+                    Some(r) => Some(self.value(frame, *r)?),
                     None => packed.biases[0].as_deref(),
                 };
                 if Self::row_major_2d(a) && Self::row_major_2d(&packed.weights[0]) {
@@ -1284,6 +1399,7 @@ impl ExecutionPlan {
                         c,
                         &mut ws.acc,
                         &mut buf,
+                        frame.live_rows(p.m),
                         aq,
                         wq,
                     )?;
@@ -1295,7 +1411,7 @@ impl ExecutionPlan {
                 Ok(Some(d))
             }
             StepKind::Conv2d { kernel, pad_to, .. } => {
-                let x = self.value(state, step.inputs[0])?;
+                let x = self.value(frame, step.inputs[0])?;
                 if x.layout() == Layout::Nhwc {
                     // The implicit-GEMM lowering reads channels past the
                     // activation's physical extent as zero, folding the
@@ -1339,7 +1455,7 @@ impl ExecutionPlan {
                 Ok(Some(d))
             }
             StepKind::B2bGemm { kernel, .. } => {
-                let a = self.value(state, step.inputs[0])?;
+                let a = self.value(frame, step.inputs[0])?;
                 if Self::row_major_2d(a) {
                     let (m, n1) = (kernel.gemm1.m, kernel.gemm1.n);
                     let aq = a.dtype() == kernel.gemm0.element;
@@ -1355,6 +1471,7 @@ impl ExecutionPlan {
                         &mut ws.acc,
                         &mut ws.d0,
                         &mut buf,
+                        frame.live_rows(m),
                         aq,
                         wq,
                     )?;
@@ -1371,7 +1488,7 @@ impl ExecutionPlan {
                 Ok(Some(d))
             }
             StepKind::GemmChain { chain, .. } => {
-                let a = self.value(state, step.inputs[0])?;
+                let a = self.value(frame, step.inputs[0])?;
                 if Self::row_major_2d(a) {
                     let last = chain.stages.last().expect("chain has stages");
                     let (m, n) = (last.problem.m, last.problem.n);
@@ -1393,6 +1510,7 @@ impl ExecutionPlan {
                         &mut ws.d0,
                         &mut ws.d1,
                         &mut buf,
+                        frame.live_rows(m),
                         aq,
                         wq,
                     )?;
@@ -1406,7 +1524,7 @@ impl ExecutionPlan {
                 Ok(Some(d))
             }
             StepKind::B2bConv { kernel, pad_to, .. } => {
-                let x = self.value(state, step.inputs[0])?;
+                let x = self.value(frame, step.inputs[0])?;
                 if x.layout() == Layout::Nhwc {
                     let p1 = &kernel.conv1;
                     let in_c = x.dims4().1;
@@ -1461,7 +1579,7 @@ impl ExecutionPlan {
                 Ok(None)
             }
             StepKind::Host => {
-                if let Some(sum) = self.residual_add(step, state, ws)? {
+                if let Some(sum) = self.residual_add(step, frame, ws)? {
                     return Ok(Some(sum));
                 }
                 // A Host step may cover a fused injective chain: execute
@@ -1474,7 +1592,7 @@ impl ExecutionPlan {
                     let t = {
                         let scope = HostScope {
                             plan: self,
-                            state,
+                            frame,
                             locals: &locals,
                         };
                         run_host_op(&self.graph, node, &scope)?
@@ -1501,7 +1619,7 @@ impl ExecutionPlan {
     fn residual_add(
         &self,
         step: &Step,
-        state: &[Option<Value<'_>>],
+        frame: &Frame<'_>,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>> {
         let node = self.graph.node(step.output);
@@ -1509,8 +1627,8 @@ impl ExecutionPlan {
             return Ok(None);
         }
         let (Ok(a), Ok(b)) = (
-            self.value(state, node.inputs[0]),
-            self.value(state, node.inputs[1]),
+            self.value(frame, node.inputs[0]),
+            self.value(frame, node.inputs[1]),
         ) else {
             return Ok(None);
         };
@@ -1538,9 +1656,8 @@ impl ExecutionPlan {
     /// Returns [`BoltError::BadInput`] when the graph has no inputs, an
     /// input is scalar, or the inputs disagree on the batch dimension.
     pub fn batch_size(&self) -> Result<usize> {
-        let input_ids = self.graph.input_ids();
         let mut batch = None;
-        for &id in &input_ids {
+        for &id in &self.input_ids {
             let shape = &self.graph.node(id).shape;
             if shape.rank() == 0 {
                 return Err(BoltError::BadInput {
@@ -1572,6 +1689,11 @@ impl ExecutionPlan {
     /// batch), runs through the pooled-workspace executor, and slices
     /// the outputs back per sample (padding rows are dropped).
     ///
+    /// The simulator prices the whole bucket, but the host computes only
+    /// the rows the samples fill: GEMM-family steps run at
+    /// `samples.len()` live samples and zero their padding rows (see
+    /// [`GemmKernel::run_into`](bolt_cutlass::GemmKernel::run_into)).
+    ///
     /// `samples[s]` holds sample `s`'s inputs in `Graph::input_ids`
     /// order, each with batch dimension 1. At most
     /// [`ExecutionPlan::batch_size`] samples are admitted per call.
@@ -1582,39 +1704,145 @@ impl ExecutionPlan {
     /// list, per-sample arity/shape mismatches, or any error from
     /// [`ExecutionPlan::run`].
     pub fn run_batched(&self, samples: &[Vec<Tensor>]) -> Result<Vec<Vec<Tensor>>> {
+        let capacity = self.batch_size()?;
+        self.validate_batch(samples, capacity)?;
+        self.run_packed(
+            samples.len(),
+            |i, want, dst| Self::pack_samples(samples, i, want, dst),
+            |frame, ws| {
+                let outputs = self.take_outputs(frame, ws)?;
+                let mut per_sample = vec![Vec::with_capacity(outputs.len()); samples.len()];
+                for output in &outputs {
+                    for (s, slot) in per_sample.iter_mut().enumerate() {
+                        slot.push(slice_batch(output, s)?);
+                    }
+                }
+                Ok(per_sample)
+            },
+        )
+    }
+
+    /// Row-major entry for rank-2 plans, the continuous batcher's path:
+    /// `inputs[i]` holds `rows` row-major rows of graph input `i`, in
+    /// `Graph::input_ids` order. The rows are packed straight into leased
+    /// workspace buffers, rounded to each input's declared dtype, run at
+    /// `rows` live samples (see [`ExecutionPlan::run_batched`]), and the
+    /// output's `rows` rows are appended to `out`. No tensor is built per
+    /// row and, once the plan's workspace is warm, nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoltError::BadInput`] for a plan that is not rank 2 with
+    /// one output, a wrong input count, `rows` outside `1..=`
+    /// [`ExecutionPlan::batch_size`], or an input slice that is not
+    /// `rows` rows long, and any error from [`ExecutionPlan::run`].
+    pub fn run_rows_into(&self, inputs: &[&[f32]], rows: usize, out: &mut Vec<f32>) -> Result<()> {
+        let capacity = self.batch_size()?;
+        let bad = |reason: String| BoltError::BadInput { reason };
+        let outs = self.graph.outputs();
+        let rank2 = |id: NodeId| self.graph.node(id).shape.rank() == 2;
+        if outs.len() != 1 || !rank2(outs[0]) || !self.input_ids.iter().all(|&id| rank2(id)) {
+            return Err(bad(
+                "run_rows_into needs a rank-2 plan with one output".into()
+            ));
+        }
+        if inputs.len() != self.input_ids.len() {
+            return Err(bad(format!(
+                "expected {} inputs, got {}",
+                self.input_ids.len(),
+                inputs.len()
+            )));
+        }
+        if rows == 0 || rows > capacity {
+            return Err(bad(format!(
+                "{rows} rows do not fit the compiled batch capacity {capacity}"
+            )));
+        }
+        self.run_packed(
+            rows,
+            |i, want, dst| {
+                let src = inputs[i];
+                if src.len() != dst.len() {
+                    return Err(bad(format!(
+                        "input {i}: {rows} rows of {want} need {} values, got {}",
+                        dst.len(),
+                        src.len()
+                    )));
+                }
+                let dtype = self.graph.node(self.input_ids[i]).dtype;
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = dtype.quantize(v);
+                }
+                Ok(dtype)
+            },
+            |frame, _| {
+                let output = self.value(frame, outs[0])?;
+                if !Self::row_major_2d(output) {
+                    return Err(bad("run_rows_into needs a row-major output".into()));
+                }
+                let per = output.numel() / capacity;
+                out.extend_from_slice(&output.data()[..rows * per]);
+                Ok(())
+            },
+        )
+    }
+
+    /// The batch-native core of [`ExecutionPlan::run_batched`] and
+    /// [`ExecutionPlan::run_rows_into`]: leases one batch buffer per
+    /// graph input, has `pack(i, shape, dst)` fill input `i`'s first
+    /// `live` samples and name the batch dtype, zero-fills the padding
+    /// samples (dead weight, never another request's activations), runs
+    /// every step with `live` samples live, and lets `finish` read the
+    /// results. Every buffer the run still owns then goes back to the
+    /// workspace.
+    fn run_packed<T>(
+        &self,
+        live: usize,
+        pack: impl FnMut(usize, &Shape, &mut [f32]) -> Result<DType>,
+        finish: impl FnOnce(&mut Frame<'_>, &mut Workspace) -> Result<T>,
+    ) -> Result<T> {
+        let capacity = self.batch_size()?;
         let mut ws = self.acquire_workspace();
-        let result = self.run_batched_with(samples, &mut ws);
+        let mut frame = Frame::new(self, &mut ws, &[], live, capacity);
+        let result = self
+            .pack_inputs(&mut frame, &mut ws, pack)
+            .and_then(|()| self.run_steps(&mut frame, &mut ws, None))
+            .and_then(|()| finish(&mut frame, &mut ws));
+        frame.finish(&mut ws);
         self.release_workspace(ws);
         result
     }
 
-    fn run_batched_with(
+    /// Packs every graph input into a leased batch buffer bound to its
+    /// slot (see [`ExecutionPlan::run_packed`]).
+    fn pack_inputs(
         &self,
-        samples: &[Vec<Tensor>],
+        frame: &mut Frame<'_>,
         ws: &mut Workspace,
-    ) -> Result<Vec<Vec<Tensor>>> {
-        let capacity = self.batch_size()?;
-        self.validate_batch(samples, capacity)?;
-        let input_ids = self.graph.input_ids();
-
-        let mut batched = Vec::with_capacity(input_ids.len());
-        for (i, &id) in input_ids.iter().enumerate() {
-            batched.push(self.pack_batch_column(samples, i, id, capacity, ws)?);
+        mut pack: impl FnMut(usize, &Shape, &mut [f32]) -> Result<DType>,
+    ) -> Result<()> {
+        let capacity = frame.capacity;
+        for (i, &id) in self.input_ids.iter().enumerate() {
+            let want = &self.graph.node(id).shape;
+            let per = want.numel() / capacity.max(1);
+            let mut buf = ws.lease(capacity * per);
+            let dtype = match pack(i, want, &mut buf[..frame.live * per]) {
+                Ok(dtype) => dtype,
+                Err(e) => {
+                    ws.recycle(buf);
+                    return Err(e);
+                }
+            };
+            buf[frame.live * per..].fill(0.0);
+            let dims = want.dims();
+            let tensor = if want.rank() == 4 {
+                Tensor::from_quantized_vec_nhwc(capacity, dims[1], dims[2], dims[3], dtype, buf)?
+            } else {
+                Tensor::from_quantized_vec(dims, dtype, buf)?
+            };
+            frame.values[self.slots.slot_of[&id]] = Some(Value::Owned(tensor));
         }
-        let outputs = self.run_with_workspace(&batched, ws, None);
-        // The packed batch buffers feed the next call.
-        for t in batched {
-            ws.recycle(t.into_data());
-        }
-        let outputs = outputs?;
-
-        let mut per_sample = vec![Vec::with_capacity(outputs.len()); samples.len()];
-        for output in &outputs {
-            for (s, slot) in per_sample.iter_mut().enumerate() {
-                slot.push(slice_batch(output, s)?);
-            }
-        }
-        Ok(per_sample)
+        Ok(())
     }
 
     fn validate_batch(&self, samples: &[Vec<Tensor>], capacity: usize) -> Result<()> {
@@ -1631,7 +1859,7 @@ impl ExecutionPlan {
                 ),
             });
         }
-        let arity = self.graph.input_ids().len();
+        let arity = self.input_ids.len();
         for (s, sample) in samples.iter().enumerate() {
             if sample.len() != arity {
                 return Err(BoltError::BadInput {
@@ -1642,28 +1870,22 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Packs input column `i` of every sample into one pooled batch
-    /// buffer: each sample's row block is copied (rank-4 NCHW samples
-    /// are transposed to NHWC in the same pass) and the padding tail is
-    /// zero-filled — padded rows are dead weight, not replicas that
-    /// could leak another request's activations.
+    /// Packs input column `i` of every sample into `dst`, one row block
+    /// per sample (rank-4 NCHW samples are transposed to NHWC in the
+    /// same pass).
     ///
     /// The batch takes sample 0's dtype. A sample of another dtype is
     /// rounded to it while packing, so the batch holds only values its
     /// dtype can represent, as the kernels that read it in place assume.
-    fn pack_batch_column(
-        &self,
+    fn pack_samples(
         samples: &[Vec<Tensor>],
         i: usize,
-        id: NodeId,
-        capacity: usize,
-        ws: &mut Workspace,
-    ) -> Result<Tensor> {
-        let want = &self.graph.node(id).shape;
-        let proto = &samples[0][i];
-        let per = want.numel() / capacity.max(1);
-        let mut buf = ws.lease(capacity * per);
-        for (s, sample) in samples.iter().enumerate() {
+        want: &Shape,
+        dst: &mut [f32],
+    ) -> Result<DType> {
+        let dtype = samples[0][i].dtype();
+        let per = dst.len() / samples.len();
+        for (s, (sample, dst)) in samples.iter().zip(dst.chunks_exact_mut(per)).enumerate() {
             let t = &sample[i];
             let got = crate::runtime::logical_dims(t);
             let ok = got.len() == want.rank()
@@ -1677,7 +1899,6 @@ impl ExecutionPlan {
                     ),
                 });
             }
-            let dst = &mut buf[s * per..(s + 1) * per];
             if want.rank() == 4 && t.layout() != Layout::Nhwc {
                 // NCHW (or contiguous) sample → NHWC row block.
                 let (_, c, h, w) = t.dims4();
@@ -1692,29 +1913,13 @@ impl ExecutionPlan {
             } else {
                 dst.copy_from_slice(t.data());
             }
-            if t.dtype() != proto.dtype() {
-                let dtype = proto.dtype();
+            if t.dtype() != dtype {
                 for v in dst.iter_mut() {
                     *v = dtype.quantize(*v);
                 }
             }
         }
-        buf[samples.len() * per..].fill(0.0);
-        if want.rank() == 4 {
-            let dims = want.dims();
-            Ok(Tensor::from_quantized_vec_nhwc(
-                capacity,
-                dims[1],
-                dims[2],
-                dims[3],
-                proto.dtype(),
-                buf,
-            )?)
-        } else {
-            let mut dims = want.dims().to_vec();
-            dims[0] = capacity;
-            Ok(Tensor::from_quantized_vec(&dims, proto.dtype(), buf)?)
-        }
+        Ok(dtype)
     }
 
     /// The pre-refactor serving path, kept as the batched oracle and
@@ -1728,7 +1933,7 @@ impl ExecutionPlan {
     pub fn run_batched_reference(&self, samples: &[Vec<Tensor>]) -> Result<Vec<Vec<Tensor>>> {
         let capacity = self.batch_size()?;
         self.validate_batch(samples, capacity)?;
-        let arity = self.graph.input_ids().len();
+        let arity = self.input_ids.len();
 
         let mut batched = Vec::with_capacity(arity);
         for i in 0..arity {
@@ -1856,10 +2061,9 @@ impl ExecutionPlan {
     ///
     /// Same contract as [`ExecutionPlan::run`].
     pub fn run_reference(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let input_ids = self.graph.input_ids();
-        self.validate_inputs(inputs, &input_ids)?;
+        self.validate_inputs(inputs)?;
         let mut env: HashMap<NodeId, Tensor> = HashMap::new();
-        for (&id, tensor) in input_ids.iter().zip(inputs) {
+        for (&id, tensor) in self.input_ids.iter().zip(inputs) {
             if tensor.shape().rank() == 4 {
                 let nhwc = if tensor.layout() == Layout::Nhwc {
                     tensor.clone()

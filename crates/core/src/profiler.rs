@@ -552,13 +552,15 @@ impl BoltProfiler {
         crate::cache::load(self, path)
     }
 
-    /// Exports every resolved entry as a portable [`TuneShard`] — the
+    /// Exports every resolved entry as a portable
+    /// [`TuneShard`](crate::cache::TuneShard) — the
     /// unit `bolt-tune` packs into multi-arch bundles.
     pub fn export_shard(&self) -> crate::cache::TuneShard {
         crate::cache::TuneShard::from_profiler(self)
     }
 
-    /// Merges a [`TuneShard`] into this profiler's cache. Entries
+    /// Merges a [`TuneShard`](crate::cache::TuneShard) into this
+    /// profiler's cache. Entries
     /// already resolved in this process win over the shard's.
     ///
     /// # Errors

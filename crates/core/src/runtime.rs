@@ -1,6 +1,6 @@
 //! The compiled-model runtime.
 //!
-//! A [`CompiledModel`] is a handle to an [`ExecutionPlan`](crate::plan::ExecutionPlan)
+//! A [`CompiledModel`] is a handle to an [`ExecutionPlan`]
 //! — the ordered [`Step`] list produced by the lowering pipeline plus its
 //! prepacked constants and buffer-slot plan — together with the
 //! [`TuningSummary`] of the compilation that built it. It executes in two

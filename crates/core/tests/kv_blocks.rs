@@ -58,7 +58,7 @@ fn writes_and_reads_land_in_the_right_block() {
     ws.commit(11).expect("reserved commit");
 
     for layer in 0..spec.layers {
-        let chunks = ws.key_chunks(layer, 11).expect("committed read");
+        let chunks: Vec<&[f32]> = ws.key_chunks(layer, 11).expect("committed read").collect();
         assert_eq!(chunks.len(), spec.blocks_for(11), "one chunk per block");
         assert_eq!(
             chunks.iter().map(|c| c.len()).sum::<usize>(),
@@ -74,7 +74,7 @@ fn writes_and_reads_land_in_the_right_block() {
         }
         let vals = ws.value_chunks(layer, 11).expect("committed read");
         let mut pos = 0;
-        for chunk in &vals {
+        for chunk in vals {
             for row in chunk.chunks(spec.kv_dim) {
                 assert!(row.iter().all(|&x| x == -((layer * 100 + pos) as f32)));
                 pos += 1;
@@ -112,6 +112,66 @@ fn capacity_misuse_is_a_typed_error_not_a_panic() {
         arena.reserve(&mut ws, spec.max_seq + 1),
         Err(BoltError::KvCapacity { .. })
     ));
+}
+
+#[test]
+fn malformed_rows_and_layers_are_typed_errors_not_panics() {
+    let spec = spec();
+    let arena = KvArena::new(spec, 16);
+    let mut ws = arena.lease();
+    arena.reserve(&mut ws, 4).expect("one block");
+    let row = vec![1.0f32; spec.kv_dim];
+    for layer in 0..spec.layers {
+        ws.write_row(layer, 0, &row, &row).expect("well-formed row");
+    }
+    ws.commit(1).expect("reserved commit");
+
+    let short = vec![2.0f32; spec.kv_dim - 1];
+    let bad_writes: [(usize, &[f32], &[f32]); 3] = [
+        (0, &short, &row),
+        (0, &row, &short),
+        (spec.layers, &row, &row),
+    ];
+    for (layer, k, v) in bad_writes {
+        match ws.write_row(layer, 1, k, v) {
+            Err(BoltError::BadInput { reason }) => {
+                let named = if layer == spec.layers {
+                    [format!("layer {layer}"), format!("{}-layer", spec.layers)]
+                } else {
+                    [
+                        format!("width {}", short.len()),
+                        format!("kv_dim {}", spec.kv_dim),
+                    ]
+                };
+                for part in named {
+                    assert!(reason.contains(&part), "{reason:?} names {part:?}");
+                }
+            }
+            other => panic!("expected BadInput, got {other:?}"),
+        }
+        assert_eq!(ws.len(), 1, "a rejected write publishes nothing");
+    }
+    for layer in 0..spec.layers {
+        let written: Vec<f32> = ws
+            .key_chunks(layer, 2)
+            .expect("read")
+            .flatten()
+            .copied()
+            .collect();
+        assert!(
+            written[spec.kv_dim..].iter().all(|&x| x == 0.0),
+            "nothing written"
+        );
+    }
+    assert!(matches!(
+        ws.key_chunks(spec.layers, 1),
+        Err(BoltError::BadInput { .. })
+    ));
+    assert!(matches!(
+        ws.value_chunks(spec.layers, 1),
+        Err(BoltError::BadInput { .. })
+    ));
+    assert_eq!(ws.len(), 1);
 }
 
 #[test]

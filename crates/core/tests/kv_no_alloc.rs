@@ -51,10 +51,13 @@ fn decode_steps_never_reallocate_kv() {
     );
     assert_eq!(ws.len(), spec.max_seq);
     let keys = ws.key_chunks(1, 3).expect("committed read");
-    assert_eq!(keys.iter().map(|c| c.len()).sum::<usize>(), 3 * spec.kv_dim);
-    assert!(keys.iter().all(|c| c.iter().all(|&x| x == 0.25)));
-    let values = ws.value_chunks(3, spec.max_seq).expect("committed read");
-    assert!(values.iter().all(|c| c.iter().all(|&x| x == 0.5)));
+    assert_eq!(
+        keys.clone().map(<[f32]>::len).sum::<usize>(),
+        3 * spec.kv_dim
+    );
+    assert!(keys.flatten().all(|&x| x == 0.25));
+    let mut values = ws.value_chunks(3, spec.max_seq).expect("committed read");
+    assert!(values.all(|c| c.iter().all(|&x| x == 0.5)));
 
     // A warm pool admits new sequences allocation-free: release the
     // sequence's blocks, lease again, decode again — zero fresh

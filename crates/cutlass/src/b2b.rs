@@ -335,9 +335,14 @@ impl B2bGemmKernel {
     /// second GEMM reads `D0` in place when the first epilogue already
     /// rounds it to the second GEMM's element dtype.
     ///
+    /// `rows` (at most `m`) is how many leading rows are live: only
+    /// their M-stripes run, the last live stripe cut short, and rows
+    /// `rows..m` of `out` are zero-filled (see
+    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)).
+    ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched operands.
+    /// Returns shape errors for mismatched operands or `rows > m`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_into(
         &self,
@@ -349,6 +354,7 @@ impl B2bGemmKernel {
         acc: &mut Vec<f32>,
         d0: &mut Vec<f32>,
         out: &mut [f32],
+        rows: usize,
         a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
@@ -368,10 +374,19 @@ impl B2bGemmKernel {
                 &[out.len()],
             )));
         }
+        if rows > m {
+            return Err(KernelError::Tensor(bolt_tensor::TensorError::shape(
+                "b2b gemm live rows",
+                &[m],
+                &[rows],
+            )));
+        }
+        let (out, pad) = out.split_at_mut(rows * n1);
+        pad.fill(0.0);
         let tb_m = self.config0.threadblock.m;
-        let stripes = m.div_ceil(tb_m);
+        let stripes = rows.div_ceil(tb_m);
         let threads = crate::host_parallelism();
-        if threads > 1 && stripes > 1 && m >= self.parallel_m_rows.max(1) {
+        if threads > 1 && stripes > 1 && rows >= self.parallel_m_rows.max(1) {
             let workers = threads.min(stripes);
             let per = stripes.div_ceil(workers);
             let result = std::sync::Mutex::new(Ok(()));
@@ -380,10 +395,9 @@ impl B2bGemmKernel {
                 let mut s0 = 0;
                 while s0 < stripes {
                     let s1 = (s0 + per).min(stripes);
-                    let rows = (s1 * tb_m).min(m) - s0 * tb_m;
-                    let (chunk, tail) = rest.split_at_mut(rows * n1);
+                    let stripe_rows = (s1 * tb_m).min(rows) - s0 * tb_m;
+                    let (chunk, tail) = rest.split_at_mut(stripe_rows * n1);
                     rest = tail;
-                    let (lo, hi) = (s0, s1);
                     let result = &result;
                     scope.spawn(move || {
                         let (mut acc, mut d0) = (Vec::new(), Vec::new());
@@ -393,8 +407,8 @@ impl B2bGemmKernel {
                             c0,
                             w1,
                             c1,
-                            lo,
-                            hi,
+                            s0..s1,
+                            rows,
                             &mut acc,
                             &mut d0,
                             chunk,
@@ -415,8 +429,8 @@ impl B2bGemmKernel {
                 c0,
                 w1,
                 c1,
-                0,
-                stripes,
+                0..stripes,
+                rows,
                 acc,
                 d0,
                 out,
@@ -426,8 +440,8 @@ impl B2bGemmKernel {
         }
     }
 
-    /// Computes M-stripes `lo..hi`; `out` starts at global row
-    /// `lo * tb_m`.
+    /// Computes M-stripes `stripes`, stopping at row `live`; `out`
+    /// starts at global row `stripes.start * tb_m`.
     #[allow(clippy::too_many_arguments)]
     fn stripes_into(
         &self,
@@ -436,22 +450,22 @@ impl B2bGemmKernel {
         c0: Option<&Tensor>,
         w1: &[f32],
         c1: Option<&Tensor>,
-        lo: usize,
-        hi: usize,
+        stripes: std::ops::Range<usize>,
+        live: usize,
         acc: &mut Vec<f32>,
         d0: &mut Vec<f32>,
         out: &mut [f32],
         a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
-        let (m, n0, k0) = (self.gemm0.m, self.gemm0.n, self.gemm0.k);
+        let (n0, k0) = (self.gemm0.n, self.gemm0.k);
         let d0_quantized = self.epilogue0.out_dtype == self.gemm1.element;
         let n1 = self.gemm1.n;
         let tb_m = self.config0.threadblock.m;
-        let base = lo * tb_m;
-        for s in lo..hi {
+        let base = stripes.start * tb_m;
+        for s in stripes {
             let row0 = s * tb_m;
-            let rows = tb_m.min(m - row0);
+            let rows = tb_m.min(live - row0);
             let mut k0_kernel = GemmKernel {
                 problem: self.gemm0,
                 config: self.config0,
@@ -466,6 +480,7 @@ impl B2bGemmKernel {
                 c0,
                 acc,
                 d0,
+                rows,
                 a_quantized,
                 weights_quantized,
             )?;
@@ -478,7 +493,16 @@ impl B2bGemmKernel {
             };
             k1_kernel.problem.m = rows;
             let out_rows = &mut out[(row0 - base) * n1..(row0 - base + rows) * n1];
-            k1_kernel.run_into(d0, w1, c1, acc, out_rows, d0_quantized, weights_quantized)?;
+            k1_kernel.run_into(
+                d0,
+                w1,
+                c1,
+                acc,
+                out_rows,
+                rows,
+                d0_quantized,
+                weights_quantized,
+            )?;
         }
         Ok(())
     }

@@ -271,9 +271,14 @@ impl PersistentGemmChain {
     /// later stage reads its input in place when the previous stage's
     /// epilogue already rounds to the stage's element dtype.
     ///
+    /// `rows` (at most the chain's `m`) is how many leading rows are
+    /// live: every stage computes only those rows and zero-fills the
+    /// rest of its output, `out` included (see
+    /// [`GemmKernel::run_into`](crate::gemm::GemmKernel::run_into)).
+    ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched operands.
+    /// Returns shape errors for mismatched operands or `rows > m`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_into(
         &self,
@@ -284,6 +289,7 @@ impl PersistentGemmChain {
         ping: &mut Vec<f32>,
         pong: &mut Vec<f32>,
         out: &mut [f32],
+        rows: usize,
         a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
@@ -314,16 +320,16 @@ impl PersistentGemmChain {
                 } else {
                     pong
                 };
-                kernel.run_into(src, w, *b, acc, out, aq, weights_quantized)?;
+                kernel.run_into(src, w, *b, acc, out, rows, aq, weights_quantized)?;
             } else if i == 0 {
                 ping.resize(numel, 0.0);
-                kernel.run_into(a, w, *b, acc, ping, aq, weights_quantized)?;
+                kernel.run_into(a, w, *b, acc, ping, rows, aq, weights_quantized)?;
             } else if i % 2 == 1 {
                 pong.resize(numel, 0.0);
-                kernel.run_into(ping, w, *b, acc, pong, aq, weights_quantized)?;
+                kernel.run_into(ping, w, *b, acc, pong, rows, aq, weights_quantized)?;
             } else {
                 ping.resize(numel, 0.0);
-                kernel.run_into(pong, w, *b, acc, ping, aq, weights_quantized)?;
+                kernel.run_into(pong, w, *b, acc, ping, rows, aq, weights_quantized)?;
             }
         }
         Ok(())

@@ -210,6 +210,7 @@ impl Conv2dKernel {
             bias,
             acc,
             out,
+            m,
             input_quantized,
             filter_quantized,
         )

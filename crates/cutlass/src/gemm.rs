@@ -290,6 +290,14 @@ impl GemmKernel {
     /// reduction, if the epilogue requests one, is not computed here; use
     /// [`GemmKernel::run`] when it is needed.
     ///
+    /// `rows` (at most `problem.m`) is how many leading rows are live.
+    /// Operands are validated at the full `m`, rows `0..rows` are
+    /// computed with the same tile walk and k-order as the full problem
+    /// (every output row depends only on its own `A` row), and rows
+    /// `rows..m` are zero-filled. A batch executor passes its live
+    /// sample rows so a partly filled bucket skips its padding; pass
+    /// `problem.m` for the whole problem.
+    ///
     /// `a_quantized` and `b_quantized` are the caller's assertion that
     /// every element of that operand is already exactly representable in
     /// the problem's element dtype — true for operands read out of a
@@ -308,7 +316,8 @@ impl GemmKernel {
     ///
     /// # Errors
     ///
-    /// Returns shape errors if operand lengths disagree with the problem.
+    /// Returns shape errors if operand lengths disagree with the problem
+    /// or `rows` exceeds `m`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_into(
         &self,
@@ -317,6 +326,7 @@ impl GemmKernel {
         c: Option<&Tensor>,
         acc: &mut Vec<f32>,
         out: &mut [f32],
+        rows: usize,
         a_quantized: bool,
         b_quantized: bool,
     ) -> Result<()> {
@@ -342,6 +352,13 @@ impl GemmKernel {
                 &[out.len()],
             )));
         }
+        if rows > p.m {
+            return Err(KernelError::Tensor(TensorError::shape(
+                "gemm kernel live rows",
+                &[p.m],
+                &[rows],
+            )));
+        }
         self.epilogue.validate_c(c, p.m, p.n)?;
         debug_assert!(
             !a_quantized || holds_exactly(a, p.element),
@@ -354,21 +371,23 @@ impl GemmKernel {
             p.element
         );
 
+        let (live, pad) = out.split_at_mut(rows * p.n);
+        pad.fill(0.0);
         let tb_m = self.config.threadblock.m;
-        let grid_m = p.m.div_ceil(tb_m);
+        let grid_m = rows.div_ceil(tb_m);
         let threads = crate::host_parallelism();
-        if threads > 1 && grid_m > 1 && p.m >= self.parallel_m_rows.max(1) {
+        if threads > 1 && grid_m > 1 && rows >= self.parallel_m_rows.max(1) {
             // Data-parallel M-stripes: each worker owns a contiguous run
             // of threadblock rows, which is a contiguous slice of `out`.
             let workers = threads.min(grid_m);
             let per = grid_m.div_ceil(workers);
             std::thread::scope(|scope| {
-                let mut rest = out;
+                let mut rest = live;
                 let mut bm0 = 0;
                 while bm0 < grid_m {
                     let bm1 = (bm0 + per).min(grid_m);
-                    let rows = (bm1 * tb_m).min(p.m) - bm0 * tb_m;
-                    let (chunk, tail) = rest.split_at_mut(rows * p.n);
+                    let stripe_rows = (bm1 * tb_m).min(rows) - bm0 * tb_m;
+                    let (chunk, tail) = rest.split_at_mut(stripe_rows * p.n);
                     rest = tail;
                     let (b0, b1) = (bm0, bm1);
                     scope.spawn(move || {
@@ -377,8 +396,8 @@ impl GemmKernel {
                             a,
                             b,
                             c,
-                            b0,
-                            b1,
+                            b0..b1,
+                            rows,
                             &mut local_acc,
                             chunk,
                             a_quantized,
@@ -389,26 +408,38 @@ impl GemmKernel {
                 }
             });
         } else {
-            self.stripes_into(a, b, c, 0, grid_m, acc, out, a_quantized, b_quantized);
+            self.stripes_into(
+                a,
+                b,
+                c,
+                0..grid_m,
+                rows,
+                acc,
+                live,
+                a_quantized,
+                b_quantized,
+            );
         }
         Ok(())
     }
 
-    /// Computes threadblock stripes `bm0..bm1` into `out`, whose first
-    /// element corresponds to global row `bm0 * tb_m`. Tile walk, k-order,
-    /// and rounding are identical to [`GemmKernel::run`]: an operand of
-    /// unknown provenance is rounded through the element dtype on its
-    /// global->smem stage, exactly once per k-tile; a pre-quantized one
-    /// is read in place. The MAC loop then multiplies the same numbers
-    /// [`GemmKernel::run`] rounds per multiply, in the same order.
+    /// Computes threadblock stripes `stripes` into `out`, whose first
+    /// element corresponds to global row `stripes.start * tb_m`, stopping
+    /// at row `live` (the last stripe may be cut short). Tile walk,
+    /// k-order, and rounding are identical to [`GemmKernel::run`]: an
+    /// operand of unknown provenance is rounded through the element dtype
+    /// on its global->smem stage, exactly once per k-tile; a
+    /// pre-quantized one is read in place. The MAC loop then multiplies
+    /// the same numbers [`GemmKernel::run`] rounds per multiply, in the
+    /// same order.
     #[allow(clippy::too_many_arguments)]
     fn stripes_into(
         &self,
         a: &[f32],
         b: &[f32],
         c: Option<&Tensor>,
-        bm0: usize,
-        bm1: usize,
+        stripes: std::ops::Range<usize>,
+        live: usize,
         acc: &mut Vec<f32>,
         out: &mut [f32],
         a_quantized: bool,
@@ -420,17 +451,17 @@ impl GemmKernel {
         let grid_n = p.n.div_ceil(tb.n);
         let split_k = self.config.split_k.max(1);
         let slice_len = p.k.div_ceil(split_k);
-        let base_row = bm0 * tb.m;
+        let base_row = stripes.start * tb.m;
         // Shared-memory fragments for operands that still need rounding;
         // grown lazily, so they stay empty when both are pre-quantized.
         let mut a_smem: Vec<f32> = Vec::new();
         let mut b_smem: Vec<f32> = Vec::new();
 
-        for bm in bm0..bm1 {
+        for bm in stripes {
             for bn in 0..grid_n {
                 let row0 = bm * tb.m;
                 let col0 = bn * tb.n;
-                let rows = tb.m.min(p.m - row0);
+                let rows = tb.m.min(live - row0);
                 let cols = tb.n.min(p.n - col0);
                 acc.clear();
                 acc.resize(rows * cols, 0.0);
@@ -741,12 +772,12 @@ mod tests {
         );
         let mut acc = Vec::new();
         let mut want = vec![0.0f32; 96];
-        base.run_into(a.data(), b.data(), None, &mut acc, &mut want, true, true)
+        base.run_into(a.data(), b.data(), None, &mut acc, &mut want, 1, true, true)
             .unwrap();
         for threshold in [1usize, 2, 256, usize::MAX] {
             let k = base.clone().with_parallel_m_rows(threshold);
             let mut got = vec![0.0f32; 96];
-            k.run_into(a.data(), b.data(), None, &mut acc, &mut got, true, true)
+            k.run_into(a.data(), b.data(), None, &mut acc, &mut got, 1, true, true)
                 .unwrap();
             assert_eq!(want, got, "threshold={threshold}");
         }
@@ -774,6 +805,7 @@ mod tests {
             None,
             &mut Vec::new(),
             &mut out,
+            4,
             true,
             true,
         );
@@ -796,10 +828,19 @@ mod tests {
         let mut want = vec![0.0f32; 96 * 40];
         let mut got = vec![0.0f32; 96 * 40];
         sequential
-            .run_into(a.data(), b.data(), None, &mut acc, &mut want, true, true)
+            .run_into(
+                a.data(),
+                b.data(),
+                None,
+                &mut acc,
+                &mut want,
+                96,
+                true,
+                true,
+            )
             .unwrap();
         parallel
-            .run_into(a.data(), b.data(), None, &mut acc, &mut got, true, true)
+            .run_into(a.data(), b.data(), None, &mut acc, &mut got, 96, true, true)
             .unwrap();
         assert_eq!(want, got);
     }

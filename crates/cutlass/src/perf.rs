@@ -330,7 +330,7 @@ pub fn conv2d_search_profile(
 ///
 /// Evaluating the bound costs a few dozen arithmetic ops and — crucially —
 /// builds neither the candidate's [`KernelProfile`] nor its occupancy (the
-/// caller supplies the [`Occupancy`] the generator caches alongside each
+/// caller supplies the [`Occupancy`](bolt_gpu_sim::Occupancy) the generator caches alongside each
 /// base combination). In the profiler's candidate loop the profile
 /// construction itself is a large share of the per-candidate cost, so a
 /// bound that required either could never pay for itself; this one lets a
@@ -345,7 +345,7 @@ pub fn conv2d_search_profile(
 /// constants (operand bytes, epilogue extras, per-stream `flops / peak`
 /// bases) are folded at construction and combo constants (occupancy,
 /// latency factor, leak coefficients) come prefolded in the
-/// [`CandidateSeed`], so an evaluation is a handful of multiplies and
+/// [`CandidateSeed`](crate::generator::CandidateSeed), so an evaluation is a handful of multiplies and
 /// divides. The folding regroups a few products relative to the
 /// simulator's literal expression order, which perturbs the result by at
 /// most a few ULPs (relative error ~1e-15 on times that never exceed

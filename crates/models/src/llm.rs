@@ -248,22 +248,55 @@ impl DecoderModel {
     /// paged: its result depends only on this sequence's history, never
     /// on batch composition or block size, which is half of the
     /// bit-identity argument for continuous batching.
+    ///
+    /// A wrapper over [`DecoderModel::attention_into`] that allocates
+    /// its result and scratch.
     pub fn attention(&self, q: &[f32], keys: &[&[f32]], values: &[&[f32]], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.spec.hidden];
+        self.attention_into(
+            q,
+            keys.iter().copied(),
+            values.iter().copied(),
+            n,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
+
+    /// [`DecoderModel::attention`] written into the caller's `out` row
+    /// (`hidden` wide), with the caller's `scores` as the softmax
+    /// scratch, so a warm decode step allocates nothing. `keys` and
+    /// `values` walk the cached rows' chunks in position order (a
+    /// `bolt::KvChunks`, or any other chunk iterator); each is cloned
+    /// once per head to walk the rows again. Bit-identical to
+    /// [`DecoderModel::attention`].
+    pub fn attention_into<'a>(
+        &self,
+        q: &[f32],
+        keys: impl Iterator<Item = &'a [f32]> + Clone,
+        values: impl Iterator<Item = &'a [f32]> + Clone,
+        n: usize,
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
         let h = self.spec.hidden;
         let heads = self.spec.heads;
         let d = self.spec.head_dim();
         debug_assert_eq!(q.len(), h);
-        debug_assert!(keys.iter().map(|c| c.len()).sum::<usize>() >= n * h);
-        debug_assert!(values.iter().map(|c| c.len()).sum::<usize>() >= n * h);
+        debug_assert_eq!(out.len(), h);
+        debug_assert!(keys.clone().map(<[f32]>::len).sum::<usize>() >= n * h);
+        debug_assert!(values.clone().map(<[f32]>::len).sum::<usize>() >= n * h);
         let inv_sqrt_d = 1.0 / (d as f32).sqrt();
-        let mut out = vec![0.0f32; h];
-        let mut scores = vec![0.0f32; n];
+        out.fill(0.0);
+        scores.clear();
+        scores.resize(n, 0.0);
         for head in 0..heads {
             let o = head * d;
             // Scaled dot-product scores over the causal window.
             let mut max = f32::NEG_INFINITY;
             let mut t = 0usize;
-            'keys: for chunk in keys {
+            'keys: for chunk in keys.clone() {
                 for k_row in chunk.chunks_exact(h) {
                     if t >= n {
                         break 'keys;
@@ -285,7 +318,7 @@ impl DecoderModel {
             }
             let inv = 1.0 / denom;
             let mut t = 0usize;
-            'values: for chunk in values {
+            'values: for chunk in values.clone() {
                 for v_row in chunk.chunks_exact(h) {
                     if t >= n {
                         break 'values;
@@ -298,7 +331,6 @@ impl DecoderModel {
                 }
             }
         }
-        out
     }
 }
 
@@ -379,6 +411,18 @@ mod tests {
         let chunked_values: Vec<&[f32]> = vec![&values[..split], &values[split..]];
         let paged = model.attention(&q, &chunked_keys, &chunked_values, n);
         assert_eq!(out, paged, "chunking must not change a single bit");
+        // Dirty caller scratch and output rows change nothing either.
+        let mut scores = vec![f32::NAN; 3 * n];
+        let mut row = vec![f32::NAN; h];
+        model.attention_into(
+            &q,
+            chunked_keys.iter().copied(),
+            chunked_values.iter().copied(),
+            n,
+            &mut scores,
+            &mut row,
+        );
+        assert_eq!(out, row, "attention_into is attention, in place");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use bolt::{BoltCompiler, BoltConfig, CompiledModel, StepKind};
 use bolt_gpu_sim::GpuArch;
-use bolt_models::{try_model_by_name, SERVING_MODELS};
+use bolt_graph::Graph;
+use bolt_models::llm::{lm_head_graph, post_graph, qkv_graph};
+use bolt_models::{try_model_by_name, DecoderSpec, SERVING_MODELS};
 use bolt_tensor::{DType, Tensor};
 
 fn compile(model: &str, batch: usize, config: BoltConfig) -> CompiledModel {
@@ -265,6 +267,82 @@ fn run_paths_agree_bit_for_bit() {
                 batched, batched_ref,
                 "{name}: run_batched vs run_batched_reference"
             );
+        }
+    }
+    partial_batches_agree_bit_for_bit();
+}
+
+/// A bucket-8 engine computes only the rows its samples fill: at every
+/// live count from 1 to 8, `run_batched` must still equal the reference
+/// interpreter, which computes the whole zero-padded bucket. Rank-2
+/// plans are also driven through the row entry, `run_rows_into`.
+fn partial_batches_agree_bit_for_bit() {
+    const BUCKET: usize = 8;
+    let spec = DecoderSpec::tiny();
+    let mut graphs: Vec<(String, Graph)> = SERVING_MODELS
+        .iter()
+        .map(|name| {
+            let graph = try_model_by_name(name, BUCKET).expect(name).graph;
+            (name.to_string(), graph)
+        })
+        .collect();
+    for layer in 0..spec.layers {
+        graphs.push((format!("qkv{layer}"), qkv_graph(&spec, 9, layer, BUCKET)));
+        graphs.push((format!("post{layer}"), post_graph(&spec, 9, layer, BUCKET)));
+    }
+    graphs.push(("lm_head".into(), lm_head_graph(&spec, 9, BUCKET)));
+
+    for config in [BoltConfig::default(), BoltConfig::epilogue_only()] {
+        for (name, graph) in &graphs {
+            let model = BoltCompiler::new(GpuArch::tesla_t4(), config.clone())
+                .compile(graph)
+                .expect(name);
+            let plan = model.plan();
+            // f32 samples, and the f16 samples they round to: the row
+            // entry takes raw f32 rows and must round them to the inputs'
+            // declared f16, as packing an f16 request would.
+            let sample = |s: usize, dtype: DType| -> Vec<Tensor> {
+                let graph = plan.graph();
+                graph
+                    .input_ids()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| {
+                        let mut dims = graph.node(id).shape.dims().to_vec();
+                        dims[0] = 1;
+                        let raw = Tensor::randn(&dims, DType::F32, (100 * s + i) as u64);
+                        Tensor::from_vec(&dims, dtype, raw.data().to_vec()).expect("same length")
+                    })
+                    .collect()
+            };
+            let raw: Vec<Vec<Tensor>> = (0..BUCKET).map(|s| sample(s, DType::F32)).collect();
+            let samples: Vec<Vec<Tensor>> = (0..BUCKET).map(|s| sample(s, DType::F16)).collect();
+            let rank2 = samples[0].iter().all(|t| t.shape().rank() == 2);
+            for live in 1..=BUCKET {
+                let got = model.run_batched(&samples[..live]).expect(name);
+                let want = plan.run_batched_reference(&samples[..live]).expect(name);
+                assert_eq!(got, want, "{name}: {live} live of {BUCKET}");
+                if !rank2 {
+                    continue;
+                }
+                let columns: Vec<Vec<f32>> = (0..raw[0].len())
+                    .map(|i| {
+                        raw[..live]
+                            .iter()
+                            .flat_map(|s| s[i].data().iter().copied())
+                            .collect()
+                    })
+                    .collect();
+                let inputs: Vec<&[f32]> = columns.iter().map(Vec::as_slice).collect();
+                let mut rows = vec![f32::NAN];
+                plan.run_rows_into(&inputs, live, &mut rows).expect(name);
+                let want_rows: Vec<f32> = want
+                    .iter()
+                    .flat_map(|outs| outs[0].data().iter().copied())
+                    .collect();
+                assert!(rows[0].is_nan(), "{name}: rows are appended");
+                assert_eq!(rows[1..], want_rows[..], "{name}: run_rows_into at {live}");
+            }
         }
     }
 }

@@ -86,7 +86,6 @@ use bolt_models::llm::{
     lm_head_graph, lm_head_name, post_graph, post_name, qkv_graph, qkv_name, DecoderModel,
 };
 use bolt_models::llm_by_name;
-use bolt_tensor::{DType, Tensor};
 
 use crate::metrics::{KvGovernorSnapshot, Metrics, MetricsSnapshot};
 use crate::online::{OnlineConfig, OnlineEngineManager};
@@ -289,15 +288,25 @@ struct StagedLaunches {
     fallback_launches: u64,
 }
 
-/// A decode attempt's result: tokens staged per slot index, not yet
-/// committed.
-struct StagedStep {
+/// One row of the layer stack: `(slot index, sequence position)`.
+type Row = (usize, usize);
+
+/// Buffers the layer stack reuses across steps (`scores` sized for the
+/// longest context up front), so a warm decode step allocates nothing.
+/// `tokens` holds a decode attempt's `(slot, token)`s until commit.
+#[derive(Debug, Default)]
+struct Scratch {
+    rows: Vec<Row>,
+    x: Vec<f32>,
+    qkv: Vec<f32>,
+    attn: Vec<f32>,
+    scores: Vec<f32>,
+    logits: Vec<f32>,
     tokens: Vec<(usize, u32)>,
-    launches: StagedLaunches,
 }
 
-/// The GEMM-execution side of the batcher, split out so decode can
-/// borrow it mutably while iterating slots.
+/// The GEMM-execution side of the batcher, split out so the layer stack
+/// can borrow it while mutating slots and scratch.
 struct ExecCtx {
     registry: Arc<EngineRegistry>,
     online: OnlineEngineManager,
@@ -305,50 +314,40 @@ struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// Runs one sub-model over `m` ragged rows (one sample per row,
-    /// `cols` holding each input's rows), placing the batch through the
-    /// online manager — bucket-padded, split on overflow — and returns
-    /// the output rows. `real_rows` of the `m` are genuinely live (the
-    /// rest are resident padding in static-cohort mode); accounting
-    /// charges pad rows to `staged.launched_flops` only.
-    fn run_rows(
-        &mut self,
+    /// Runs one sub-model over `m` rows (`inputs[i]` holds input `i`'s
+    /// rows back to back) into `out`, placing the batch through the
+    /// online manager — bucket-padded, split on overflow. `real_rows` of
+    /// the `m` are genuinely live (the rest are resident padding in
+    /// static-cohort mode); accounting charges pad rows to
+    /// `staged.launched_flops` only.
+    fn run_rows<const N: usize>(
+        &self,
         name: &str,
-        cols: &[&[Vec<f32>]],
+        inputs: [&[f32]; N],
+        m: usize,
         real_rows: usize,
+        out: &mut Vec<f32>,
         staged: &mut StagedLaunches,
-    ) -> Result<Vec<Vec<f32>>> {
-        let m = cols[0].len();
-        debug_assert!(cols.iter().all(|c| c.len() == m), "ragged input columns");
+    ) -> Result<()> {
+        out.clear();
         if m == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let engines = self
             .handles
             .get(name)
-            .cloned()
             .ok_or_else(|| ServeError::UnknownModel { name: name.into() })?;
-        let placed = self.online.acquire(&engines, m)?;
+        let placed = self.online.acquire(engines, m)?;
         let bucket = placed.bucket.max(1);
 
-        let samples: Vec<Vec<Tensor>> = (0..m)
-            .map(|i| {
-                cols.iter()
-                    .map(|c| {
-                        let row = &c[i];
-                        Tensor::from_vec(&[1, row.len()], DType::F16, row.clone())
-                            .expect("row length matches dims")
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut rows = Vec::with_capacity(m);
         let mut launches = 0u64;
-        for chunk in samples.chunks(bucket) {
-            let outs = placed.engine.run_batched(chunk)?;
-            for mut out in outs {
-                rows.push(out.swap_remove(0).data().to_vec());
-            }
+        for r0 in (0..m).step_by(bucket) {
+            let rows = bucket.min(m - r0);
+            let chunk = inputs.map(|input| {
+                let width = input.len() / m;
+                &input[r0 * width..(r0 + rows) * width]
+            });
+            placed.engine.run_rows_into(&chunk, rows, out)?;
             launches += 1;
         }
         let flops = placed.engine.flops();
@@ -359,7 +358,7 @@ impl ExecCtx {
         if placed.fallback {
             staged.fallback_launches += launches;
         }
-        Ok(rows)
+        Ok(())
     }
 }
 
@@ -385,6 +384,7 @@ pub struct ContinuousBatcher {
     pressure_steps_left: u64,
     queue: VecDeque<Pending>,
     slots: Vec<Slot>,
+    scratch: Scratch,
     finished: Vec<SequenceResult>,
     metrics: Metrics,
     stats: LlmStats,
@@ -491,6 +491,10 @@ impl ContinuousBatcher {
             pressure_steps_left: 0,
             queue: VecDeque::new(),
             slots: Vec::new(),
+            scratch: Scratch {
+                scores: Vec::with_capacity(spec.max_seq),
+                ..Scratch::default()
+            },
             finished: Vec::new(),
             metrics: Metrics::default(),
             stats: LlmStats::default(),
@@ -577,13 +581,12 @@ impl ContinuousBatcher {
                         // invisible, no token was appended — retry.
                         self.stats.step_retries += 1;
                     }
-                    Ok(Err(e)) => {
-                        self.fail_all_live(&e.to_string());
+                    Ok(Err(_)) => {
+                        self.fail_all_live();
                         break;
                     }
-                    Ok(Ok(staged)) => {
-                        decoded = staged.tokens.len();
-                        self.commit_step(staged);
+                    Ok(Ok(launches)) => {
+                        decoded = self.commit_step(launches);
                         break;
                     }
                 }
@@ -840,8 +843,7 @@ impl ContinuousBatcher {
             }
             self.metrics.dequeued(1);
             match self.prefill(&pending) {
-                Ok(slot) => {
-                    self.slots.push(slot);
+                Ok(()) => {
                     self.stats.prefills += 1;
                     self.stats.generated_tokens += 1;
                     admitted += 1;
@@ -856,154 +858,149 @@ impl ContinuousBatcher {
                     self.queue.push_front(pending);
                     break;
                 }
-                Err(e) => {
+                Err(_) => {
                     self.metrics.rejected_execution();
                     self.finished.push(Self::queue_result(
                         &pending,
                         self.sim_now_us,
                         FinishReason::Failed,
                     ));
-                    let _ = e;
                 }
             }
         }
         admitted
     }
 
-    /// Runs one prompt's prefill: the whole prompt as a wide GEMM
-    /// through every layer, KV rows written per position, first token
+    /// Runs one prompt's prefill into a new slot: positions `0..n` through
+    /// [`Self::run_layers`] (a wide GEMM per sub-model), the first token
     /// from the last position's logits. Reserves the prompt's blocks up
     /// front; commits the KV transaction and the simulated time only on
-    /// success, releasing every block back to the pool on failure. For a
+    /// success, dropping the slot and its blocks on failure. For a
     /// preemption replay, `pending.prompt` already includes the
     /// generated tokens, so this same path rebuilds the victim's KV
     /// state bit for bit.
-    fn prefill(&mut self, pending: &Pending) -> Result<Slot> {
-        let spec = *self.model.spec();
+    fn prefill(&mut self, pending: &Pending) -> Result<()> {
         let n = pending.prompt.len();
+        // Room for every token the sequence can ever hold, so decode
+        // steps never grow it.
+        let capacity = pending.prompt_len.saturating_add(pending.max_new);
+        let mut tokens = Vec::with_capacity(capacity.min(self.model.spec().max_seq));
+        tokens.extend_from_slice(&pending.prompt);
+        self.slots.push(Slot {
+            id: pending.id,
+            tokens,
+            prompt_len: pending.prompt_len,
+            max_new: pending.max_new,
+            deadline_us: pending.deadline_us,
+            submitted_us: pending.submitted_us,
+            ttft_us: 0.0,
+            kv: self.arena.lease(),
+            done: None,
+        });
+        let idx = self.slots.len() - 1;
         let mut staged = StagedLaunches::default();
-        let mut kv = self.arena.lease();
-        let mut x: Vec<Vec<f32>> = pending
-            .prompt
-            .iter()
-            .map(|&t| self.model.embed_token(t).to_vec())
-            .collect();
         let result = (|| -> Result<u32> {
-            self.arena.reserve(&mut kv, n)?;
-            for layer in 0..spec.layers {
-                let qkv = self
-                    .exec
-                    .run_rows(&self.names.qkv[layer], &[&x], n, &mut staged)?;
-                let mut attn = Vec::with_capacity(n);
-                for (t, row) in qkv.iter().enumerate() {
-                    let (q, rest) = row.split_at(spec.hidden);
-                    let (k, v) = rest.split_at(spec.hidden);
-                    kv.write_row(layer, t, k, v)?;
-                    let keys = kv.key_chunks(layer, t + 1)?;
-                    let values = kv.value_chunks(layer, t + 1)?;
-                    attn.push(self.model.attention(q, &keys, &values, t + 1));
-                }
-                x = self
-                    .exec
-                    .run_rows(&self.names.post[layer], &[&attn, &x], n, &mut staged)?;
-            }
+            self.arena.reserve(&mut self.slots[idx].kv, n)?;
+            self.scratch.rows.clear();
+            self.scratch.rows.extend((0..n).map(|pos| (idx, pos)));
             // Only the last position's logits matter for the first token.
-            let last = vec![x.pop().expect("non-empty prompt")];
-            let logits = self
-                .exec
-                .run_rows(&self.names.lm_head, &[&last], 1, &mut staged)?;
-            kv.commit(n)?;
-            Ok(self.model.argmax(&logits[0]))
+            self.run_layers(1, &mut staged)?;
+            self.slots[idx].kv.commit(n)?;
+            Ok(self.model.argmax(&self.scratch.logits))
         })();
         match result {
             Ok(first) => {
                 self.charge(staged);
-                let mut tokens = pending.prompt.clone();
-                tokens.push(first);
-                Ok(Slot {
-                    id: pending.id,
-                    tokens,
-                    prompt_len: pending.prompt_len,
-                    max_new: pending.max_new,
-                    deadline_us: pending.deadline_us,
-                    submitted_us: pending.submitted_us,
-                    ttft_us: pending
-                        .ttft_us
-                        .unwrap_or(self.sim_now_us - pending.submitted_us),
-                    kv,
-                    done: None,
-                })
+                let slot = &mut self.slots[idx];
+                slot.tokens.push(first);
+                slot.ttft_us = pending
+                    .ttft_us
+                    .unwrap_or(self.sim_now_us - pending.submitted_us);
+                Ok(())
             }
             Err(e) => {
-                self.arena.release(kv);
+                let slot = self.slots.pop().expect("the slot pushed above");
+                self.arena.release(slot.kv);
                 Err(e)
             }
         }
     }
 
-    /// One decode attempt over every resident slot: embed each slot's
-    /// last token, run the layer stack at M = resident rows, stage one
-    /// token per *live* slot. Mutates only uncommitted KV rows — safe to
+    /// One decode attempt over every resident slot: each slot's last
+    /// token at its next position through [`Self::run_layers`] (M =
+    /// resident rows), staging one token per *live* slot in
+    /// `scratch.tokens`. Mutates only uncommitted KV rows — safe to
     /// retry after a mid-step panic.
-    fn decode_once(&mut self) -> Result<StagedStep> {
+    fn decode_once(&mut self) -> Result<StagedLaunches> {
         bolt::faults::panic_if_scheduled(bolt::faults::FaultSite::WorkerKill);
-        let spec = *self.model.spec();
         let mut staged = StagedLaunches::default();
-        let live: Vec<bool> = self.slots.iter().map(|s| s.done.is_none()).collect();
-        let real_rows = live.iter().filter(|&&l| l).count();
-        let mut x: Vec<Vec<f32>> = self
-            .slots
-            .iter()
-            .map(|s| {
-                self.model
-                    .embed_token(*s.tokens.last().expect("slots hold ≥ 1 token"))
-                    .to_vec()
-            })
-            .collect();
-        for layer in 0..spec.layers {
-            let qkv = self
-                .exec
-                .run_rows(&self.names.qkv[layer], &[&x], real_rows, &mut staged)?;
-            let mut attn = vec![vec![0.0f32; spec.hidden]; x.len()];
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if !live[i] {
-                    continue; // dead cohort rows are pure padding
+        let rows = self.slots.iter().map(|s| s.tokens.len() - 1).enumerate();
+        self.scratch.rows.clear();
+        self.scratch.rows.extend(rows);
+        self.run_layers(self.slots.len(), &mut staged)?;
+        let s = &mut self.scratch;
+        s.tokens.clear();
+        let vocab = self.model.spec().vocab;
+        for (&(i, _), logits) in s.rows.iter().zip(s.logits.chunks_exact(vocab)) {
+            if self.slots[i].done.is_none() {
+                s.tokens.push((i, self.model.argmax(logits)));
+            }
+        }
+        Ok(staged)
+    }
+
+    /// The layer stack prefill and decode share, over `scratch.rows`. Per
+    /// layer: the QKV GEMM; per live row, its K/V written at `(layer,
+    /// pos)` and attention over its slot's positions `0..=pos` (finished
+    /// cohort rows are GEMM padding only); then the post GEMM. The LM
+    /// head's logits for the last `head_rows` rows land in
+    /// `scratch.logits`. KV rows are written, not committed, so a failed
+    /// or retried attempt publishes nothing.
+    fn run_layers(&mut self, head_rows: usize, staged: &mut StagedLaunches) -> Result<()> {
+        let (model, slots, s) = (&self.model, &mut self.slots, &mut self.scratch);
+        let (h, m) = (model.spec().hidden, s.rows.len());
+        let live = |rows: &[Row]| rows.iter().filter(|r| slots[r.0].done.is_none()).count();
+        let (real, head_real) = (live(&s.rows), live(&s.rows[m - head_rows..]));
+        s.x.clear();
+        for &(slot, pos) in &s.rows {
+            s.x.extend_from_slice(model.embed_token(slots[slot].tokens[pos]));
+        }
+        for layer in 0..model.spec().layers {
+            let (qkv, post) = (&self.names.qkv[layer], &self.names.post[layer]);
+            self.exec
+                .run_rows(qkv, [&s.x], m, real, &mut s.qkv, staged)?;
+            s.attn.clear();
+            s.attn.resize(m * h, 0.0);
+            let per_row = s.rows.iter().zip(s.qkv.chunks_exact(3 * h));
+            for ((&(slot, pos), qkv_row), attn_row) in per_row.zip(s.attn.chunks_exact_mut(h)) {
+                let slot = &mut slots[slot];
+                if slot.done.is_some() {
+                    continue;
                 }
-                let (q, rest) = qkv[i].split_at(spec.hidden);
-                let (k, v) = rest.split_at(spec.hidden);
-                let pos = slot.kv.len();
-                slot.kv.write_row(layer, pos, k, v)?;
+                let (q, kv_row) = qkv_row.split_at(h);
+                slot.kv.write_row(layer, pos, &kv_row[..h], &kv_row[h..])?;
                 let keys = slot.kv.key_chunks(layer, pos + 1)?;
                 let values = slot.kv.value_chunks(layer, pos + 1)?;
-                attn[i] = self.model.attention(q, &keys, &values, pos + 1);
+                model.attention_into(q, keys, values, pos + 1, &mut s.scores, attn_row);
             }
-            x = self.exec.run_rows(
-                &self.names.post[layer],
-                &[&attn, &x],
-                real_rows,
-                &mut staged,
-            )?;
+            // The spent QKV buffer takes the post output, which becomes
+            // the next layer's input.
+            self.exec
+                .run_rows(post, [&s.attn, &s.x], m, real, &mut s.qkv, staged)?;
+            std::mem::swap(&mut s.x, &mut s.qkv);
         }
-        let logits = self
-            .exec
-            .run_rows(&self.names.lm_head, &[&x], real_rows, &mut staged)?;
-        let tokens = live
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l)
-            .map(|(i, _)| (i, self.model.argmax(&logits[i])))
-            .collect();
-        Ok(StagedStep {
-            tokens,
-            launches: staged,
-        })
+        let head = &s.x[(m - head_rows) * h..];
+        let lm_head = &self.names.lm_head;
+        self.exec
+            .run_rows(lm_head, [head], head_rows, head_real, &mut s.logits, staged)
     }
 
     /// The step's transaction point: publish every live slot's KV row
-    /// and append its token, then charge the attempt's time and FLOPs.
-    fn commit_step(&mut self, staged: StagedStep) {
-        let live = staged.tokens.len();
-        for (i, token) in staged.tokens {
+    /// and append its staged token, then charge the attempt's time and
+    /// FLOPs. Returns the tokens decoded.
+    fn commit_step(&mut self, launches: StagedLaunches) -> usize {
+        let live = self.scratch.tokens.len();
+        for &(i, token) in &self.scratch.tokens {
             let slot = &mut self.slots[i];
             slot.kv
                 .commit(slot.tokens.len())
@@ -1011,8 +1008,8 @@ impl ContinuousBatcher {
             slot.tokens.push(token);
             self.stats.generated_tokens += 1;
         }
-        let sim_us = staged.launches.sim_us;
-        self.charge(staged.launches);
+        let sim_us = launches.sim_us;
+        self.charge(launches);
         self.stats.steps += 1;
         let tokens_per_sec = if sim_us > 0.0 {
             live as f64 * 1e6 / sim_us
@@ -1020,6 +1017,7 @@ impl ContinuousBatcher {
             0.0
         };
         self.metrics.batch(live, tokens_per_sec);
+        live
     }
 
     /// Folds one attempt's launch accounting into the clock and metrics.
@@ -1034,7 +1032,7 @@ impl ContinuousBatcher {
 
     /// A failed decode attempt fails every live sequence (partial tokens
     /// stand); cohort padding rows retire with their original reason.
-    fn fail_all_live(&mut self, _reason: &str) {
+    fn fail_all_live(&mut self) {
         for slot in &mut self.slots {
             if slot.done.is_none() {
                 slot.done = Some(FinishReason::Failed);

@@ -48,7 +48,10 @@ struct Inner {
     /// Ring of the last [`RECENT_WINDOW`] completion latencies.
     recent_latencies_us: VecDeque<f64>,
     batch_sizes: BTreeMap<usize, u64>,
-    images_per_sec: Vec<f64>,
+    /// Running sum of every batch's simulated throughput, added in
+    /// batch order, and the number of batches it covers.
+    images_per_sec_sum: f64,
+    images_per_sec_count: u64,
     /// FLOPs spent on real request rows across every launch.
     real_flops: f64,
     /// FLOPs the launches actually issued (bucket-sized, pad rows
@@ -73,6 +76,11 @@ impl Metrics {
     /// the batcher formed them into batches.
     pub(crate) fn dequeued(&self, n: usize) {
         let mut inner = self.inner.lock();
+        debug_assert!(
+            inner.queue_depth >= n as u64,
+            "dequeued {n} of {}",
+            inner.queue_depth
+        );
         inner.queue_depth = inner.queue_depth.saturating_sub(n as u64);
         inner.inflight += n as u64;
     }
@@ -82,6 +90,7 @@ impl Metrics {
     /// admission) back into the queue for a later retry.
     pub(crate) fn requeued(&self) {
         let mut inner = self.inner.lock();
+        debug_assert!(inner.inflight > 0, "requeued with nothing in flight");
         inner.inflight = inner.inflight.saturating_sub(1);
         inner.queue_depth += 1;
     }
@@ -121,6 +130,10 @@ impl Metrics {
     pub(crate) fn rejected_execution(&self) {
         let mut inner = self.inner.lock();
         inner.rejected_execution += 1;
+        debug_assert!(
+            inner.inflight > 0,
+            "execution rejected with nothing in flight"
+        );
         inner.inflight = inner.inflight.saturating_sub(1);
     }
 
@@ -135,6 +148,7 @@ impl Metrics {
         inner.deadline_shed += 1;
         // Shed at formation: the request left its queue without ever
         // becoming in-flight.
+        debug_assert!(inner.queue_depth > 0, "shed with nothing queued");
         inner.queue_depth = inner.queue_depth.saturating_sub(1);
     }
 
@@ -143,6 +157,7 @@ impl Metrics {
     pub(crate) fn deadline_shed_dequeue(&self) {
         let mut inner = self.inner.lock();
         inner.deadline_shed_dequeue += 1;
+        debug_assert!(inner.inflight > 0, "shed at dequeue with nothing in flight");
         inner.inflight = inner.inflight.saturating_sub(1);
     }
 
@@ -181,12 +196,14 @@ impl Metrics {
         let mut inner = self.inner.lock();
         inner.batches += 1;
         *inner.batch_sizes.entry(size).or_insert(0) += 1;
-        inner.images_per_sec.push(images_per_sec);
+        inner.images_per_sec_sum += images_per_sec;
+        inner.images_per_sec_count += 1;
     }
 
     pub(crate) fn completed(&self, latency_us: f64) {
         let mut inner = self.inner.lock();
         inner.completed += 1;
+        debug_assert!(inner.inflight > 0, "completed with nothing in flight");
         inner.inflight = inner.inflight.saturating_sub(1);
         inner.latencies_us.push(latency_us);
         if inner.recent_latencies_us.len() == RECENT_WINDOW {
@@ -225,10 +242,10 @@ impl Metrics {
         } else {
             0.0
         };
-        let mean_images_per_sec = if inner.images_per_sec.is_empty() {
+        let mean_images_per_sec = if inner.images_per_sec_count == 0 {
             0.0
         } else {
-            inner.images_per_sec.iter().sum::<f64>() / inner.images_per_sec.len() as f64
+            inner.images_per_sec_sum / inner.images_per_sec_count as f64
         };
         let mut kernel_stats: Vec<KernelStat> = inner
             .kernel_us
@@ -516,6 +533,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -534,6 +552,7 @@ mod tests {
             m.submitted();
             m.accepted();
         }
+        m.dequeued(3);
         m.batch(2, 1000.0);
         m.batch(1, 500.0);
         m.completed(10.0);
@@ -550,6 +569,7 @@ mod tests {
         assert!((s.throughput_rps - 3.0).abs() < 1e-9);
         assert_eq!(s.resolved(), 3);
         assert_eq!(s.model_workspace, vec![("mlp-small".to_string(), 4096)]);
+        assert_eq!(s.sim_images_per_sec, 750.0);
     }
 
     #[test]
@@ -648,5 +668,79 @@ mod tests {
         assert_eq!(s.kernel_stats[0].launches, 2);
         assert!((s.kernel_stats[0].total_us - 60.0).abs() < 1e-9);
         assert!((s.kernel_stats[0].mean_us - 30.0).abs() < 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gauges_follow_random_lifecycles_back_to_zero(
+            ops in prop::collection::vec((0usize..7, 1usize..5), 1..200),
+        ) {
+            // A request is accepted, then dequeued into a batch or shed
+            // while queued; once in flight it may be requeued (and go
+            // round again), complete, fail, or be shed at dequeue. Every
+            // op below is valid in the modelled state, so a gauge that
+            // would underflow trips the debug assertions.
+            let m = Metrics::default();
+            let (mut queued, mut inflight) = (0u64, 0u64);
+            for (op, n) in ops {
+                match op {
+                    0 => {
+                        m.submitted();
+                        m.accepted();
+                        queued += 1;
+                    }
+                    1 if queued > 0 => {
+                        let k = (n as u64).min(queued);
+                        m.dequeued(k as usize);
+                        queued -= k;
+                        inflight += k;
+                    }
+                    2 if queued > 0 => {
+                        m.deadline_shed();
+                        queued -= 1;
+                    }
+                    3 if inflight > 0 => {
+                        m.requeued();
+                        inflight -= 1;
+                        queued += 1;
+                    }
+                    4 if inflight > 0 => {
+                        m.completed(n as f64);
+                        inflight -= 1;
+                    }
+                    5 if inflight > 0 => {
+                        m.rejected_execution();
+                        inflight -= 1;
+                    }
+                    6 if inflight > 0 => {
+                        m.deadline_shed_dequeue();
+                        inflight -= 1;
+                    }
+                    _ => {}
+                }
+                let g = m.gauges();
+                prop_assert_eq!((g.queue_depth, g.inflight), (queued, inflight));
+            }
+            // Drain: everything still queued forms one batch, and every
+            // request in flight completes.
+            m.dequeued(queued as usize);
+            for _ in 0..queued + inflight {
+                m.completed(1.0);
+            }
+            let s = m.snapshot(1e6, vec![], None);
+            prop_assert_eq!((s.queue_depth, s.inflight), (0, 0));
+            prop_assert_eq!(s.resolved(), s.accepted);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "completed with nothing in flight")]
+    fn completing_an_undispatched_request_fails_in_tests() {
+        let m = Metrics::default();
+        m.accepted();
+        m.completed(1.0);
     }
 }

@@ -235,8 +235,10 @@ struct State {
     inflight: usize,
     /// Resident bytes per tuned key, for budget accounting.
     resident: HashMap<EngineKey, u64>,
-    /// LRU stamps: higher = more recently used.
-    touched: HashMap<EngineKey, u64>,
+    /// LRU stamps per model, then bucket: higher = more recently used.
+    /// Keyed by name first so a hit stamps its entry without building a
+    /// key.
+    touched: HashMap<String, HashMap<usize, u64>>,
     tick: u64,
     /// Heuristic default-config engines serving keys with no tuned
     /// engine yet; dropped when the tuned engine hot-swaps in.
@@ -250,10 +252,26 @@ struct State {
 }
 
 impl State {
-    fn touch(&mut self, key: EngineKey) {
+    fn touch(&mut self, name: &str, bucket: usize) {
         self.tick += 1;
         let tick = self.tick;
-        self.touched.insert(key, tick);
+        match self.touched.get_mut(name) {
+            Some(buckets) => buckets.insert(bucket, tick),
+            None => self
+                .touched
+                .entry(name.to_string())
+                .or_default()
+                .insert(bucket, tick),
+        };
+    }
+
+    /// The LRU stamp of `key` (0 when never served).
+    fn stamp(&self, key: &EngineKey) -> u64 {
+        self.touched
+            .get(&key.0)
+            .and_then(|buckets| buckets.get(&key.1))
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -393,7 +411,7 @@ impl OnlineEngineManager {
                         st.resident.insert(key.clone(), engine.resident_bytes());
                     }
                     st.states.insert(key.clone(), EngineState::Ready);
-                    st.touch(key);
+                    st.touch(&key.0, key.1);
                 }
             }
         }
@@ -450,15 +468,16 @@ impl OnlineEngineManager {
             .registry
             .get(model.name())
             .unwrap_or_else(|| Arc::clone(model));
-        let name = engines.name().to_string();
+        let name = engines.name();
         let desired = Self::desired_bucket(batch);
-        let key = (name.clone(), desired);
+        // Built only off the hot path, where a compile may be enqueued.
+        let key = || (name.to_string(), desired);
 
         if let Some((bucket, engine)) = engines.engine_for(batch) {
             if bucket <= desired {
                 // A tuned engine at least as tight as our own quantization
                 // would produce: serve it, no compile needed.
-                shared.lock_state().touch((name, bucket));
+                shared.lock_state().touch(name, bucket);
                 return Ok(Acquired {
                     bucket,
                     engine,
@@ -470,8 +489,8 @@ impl OnlineEngineManager {
             // Over-padded: serve the nearest bucket now, tune the right one.
             let degraded = {
                 let mut st = shared.lock_state();
-                st.touch((name, bucket));
-                shared.maybe_enqueue(&mut st, key)
+                st.touch(name, bucket);
+                shared.maybe_enqueue(&mut st, key())
             };
             self.count_fallback(batch, degraded);
             return Ok(Acquired {
@@ -487,8 +506,8 @@ impl OnlineEngineManager {
             // Overflow: explicit split across the largest bucket.
             let degraded = {
                 let mut st = shared.lock_state();
-                st.touch((name, placement.bucket));
-                shared.maybe_enqueue(&mut st, key)
+                st.touch(name, placement.bucket);
+                shared.maybe_enqueue(&mut st, key())
             };
             self.count_fallback(batch, degraded);
             return Ok(Acquired {
@@ -501,6 +520,7 @@ impl OnlineEngineManager {
         }
 
         // No engines at all: heuristic default-config engine.
+        let key = key();
         let degraded = {
             let mut st = shared.lock_state();
             shared.maybe_enqueue(&mut st, key.clone())
@@ -714,7 +734,7 @@ fn tuner_loop(shared: &Shared) {
                             st.states.insert(key.clone(), EngineState::Ready);
                             st.heuristic.remove(&key);
                             st.resident.insert(key.clone(), bytes);
-                            st.touch(key.clone());
+                            st.touch(&key.0, key.1);
                             st.fail_counts.remove(&key);
                             // A success closes the model's breaker.
                             st.breakers.insert(key.0.clone(), Breaker::default());
@@ -810,13 +830,15 @@ fn plan_evictions(st: &mut State, budget: Option<u64>, keep: &EngineKey) -> Vec<
             .resident
             .keys()
             .filter(|k| *k != keep)
-            .min_by_key(|k| st.touched.get(*k).copied().unwrap_or(0))
+            .min_by_key(|k| st.stamp(k))
             .cloned()
         else {
             break;
         };
         total -= st.resident.remove(&victim).unwrap_or(0);
-        st.touched.remove(&victim);
+        if let Some(buckets) = st.touched.get_mut(&victim.0) {
+            buckets.remove(&victim.1);
+        }
         st.states.remove(&victim);
         st.fail_counts.remove(&victim);
         victims.push(victim);

@@ -2,6 +2,11 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Ranks up to this many are stored inline, so building a tensor of an
+/// ordinary rank never allocates for its shape.
+const INLINE_RANK: usize = 4;
 
 /// The dimensions of a dense tensor, outermost first.
 ///
@@ -11,37 +16,60 @@ use std::fmt;
 /// assert_eq!(s.numel(), 32 * 56 * 56 * 64);
 /// assert_eq!(s.rank(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Shape {
-    dims: Vec<usize>,
+    dims: Dims,
+}
+
+#[derive(Clone)]
+enum Dims {
+    Inline {
+        rank: u8,
+        dims: [usize; INLINE_RANK],
+    },
+    Heap(Vec<usize>),
 }
 
 impl Shape {
     /// Creates a shape from a slice of dimensions.
     pub fn new(dims: &[usize]) -> Self {
-        Shape {
-            dims: dims.to_vec(),
-        }
+        let dims = if dims.len() <= INLINE_RANK {
+            let mut inline = [0; INLINE_RANK];
+            inline[..dims.len()].copy_from_slice(dims);
+            Dims::Inline {
+                rank: dims.len() as u8,
+                dims: inline,
+            }
+        } else {
+            Dims::Heap(dims.to_vec())
+        };
+        Shape { dims }
     }
 
     /// A rank-0 (scalar) shape.
     pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
+        Shape::new(&[])
     }
 
     /// The dimensions, outermost first.
+    #[inline]
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        match &self.dims {
+            Dims::Inline { rank, dims } => &dims[..usize::from(*rank)],
+            Dims::Heap(dims) => dims,
+        }
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.dims().len()
     }
 
     /// Total number of elements (1 for a scalar).
+    #[inline]
     pub fn numel(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Returns dimension `i`, or an informative panic.
@@ -49,17 +77,39 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `i >= rank()`.
+    #[inline]
     pub fn dim(&self, i: usize) -> usize {
-        self.dims[i]
+        self.dims()[i]
     }
 
     /// Row-major (C-contiguous) strides in elements.
     pub fn contiguous_strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
+    }
+}
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for Shape {}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shape").field("dims", &self.dims()).finish()
     }
 }
 
@@ -71,22 +121,20 @@ impl From<&[usize]> for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape { dims }
+        Shape::new(&dims)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape {
-            dims: dims.to_vec(),
-        }
+        Shape::new(&dims)
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, d) in self.dims.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -134,5 +182,14 @@ mod tests {
         let a: Shape = [1, 2, 3].into();
         let b: Shape = vec![1, 2, 3].into();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ranks_past_the_inline_capacity_round_trip() {
+        let dims: Vec<usize> = (1..=INLINE_RANK + 2).collect();
+        let s = Shape::new(&dims);
+        assert_eq!(s.dims(), &dims[..]);
+        assert_eq!(s, Shape::from(dims.clone()));
+        assert_ne!(s, Shape::new(&dims[..INLINE_RANK]));
     }
 }
