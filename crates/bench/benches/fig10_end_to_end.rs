@@ -5,6 +5,13 @@
 //! **2.6× on RepVGG** (2.8× average), finishes tuning **within 20
 //! minutes** per model while Ansor (900 trials × #tasks) takes **~12
 //! hours** on average.
+//!
+//! Bolt's tuning time is printed twice. The paper's profiler measures
+//! its whole candidate shortlist, which is what the "within 20 minutes"
+//! claim counts; the second compile here turns roofline pruning off to
+//! charge exactly that. The pruned figure is what this reproduction
+//! charges by default. Pruning is admissible, so both compiles must
+//! select the same kernels and price to the same latency.
 
 use bolt::{AnsorBackend, BoltCompiler, BoltConfig};
 use bolt_bench::{fmt_seconds, Table};
@@ -25,7 +32,8 @@ fn main() {
         "Bolt (img/s)",
         "speedup",
         "Ansor tuning",
-        "Bolt tuning",
+        "Bolt tuning (no pruning)",
+        "Bolt tuning (pruned)",
     ]);
     let mut speedups = Vec::new();
 
@@ -38,6 +46,20 @@ fn main() {
         let model = compiler.compile(&graph).expect("bolt compiles");
         let bolt_time = model.time();
         let bolt_ips = bolt_time.images_per_sec(batch);
+        let exhaustive = BoltCompiler::new(
+            t4.clone(),
+            BoltConfig {
+                candidate_pruning: false,
+                ..BoltConfig::default()
+            },
+        )
+        .compile(&graph)
+        .expect("bolt compiles without pruning");
+        assert_eq!(
+            exhaustive.time().total_us.to_bits(),
+            bolt_time.total_us.to_bits(),
+            "{name}: pruning must not change the selected kernels"
+        );
 
         let (ansor_time, tuning) = ansor.evaluate(&graph).expect("ansor evaluates");
         let ansor_ips = batch as f64 / (ansor_time.total_us / 1e6);
@@ -51,11 +73,13 @@ fn main() {
             format!("{bolt_ips:.0}"),
             format!("{speedup:.1}x"),
             fmt_seconds(tuning.tuning_seconds),
+            fmt_seconds(exhaustive.tuning.tuning_seconds),
             fmt_seconds(model.tuning.tuning_seconds),
         ]);
         println!(
             "{name}: Bolt {speedup:.1}x ({bolt_ips:.0} vs {ansor_ips:.0} img/s); \
-             tuning {} vs {}",
+             tuning {} ({} pruned) vs {}",
+            fmt_seconds(exhaustive.tuning.tuning_seconds),
             fmt_seconds(model.tuning.tuning_seconds),
             fmt_seconds(tuning.tuning_seconds)
         );
@@ -66,4 +90,7 @@ fn main() {
     let avg = speedups.iter().map(|(_, s)| s).sum::<f64>() / speedups.len() as f64;
     println!("\naverage Bolt speedup over Ansor: {avg:.2}x (paper: 2.8x avg)");
     println!("paper per-family: 4.2x VGG, 1.5x ResNet, 2.6x RepVGG");
+    println!(
+        "paper: Bolt tunes within 20 minutes per model, measuring every shortlisted candidate"
+    );
 }

@@ -1,8 +1,8 @@
-//! Compile-time benchmark for the batched profiling engine: how long the
-//! profiler takes to resolve a real model's workload set sequentially
-//! (exhaustive, pruning off) vs batched parallel with candidate pruning —
-//! the engine that turns Figure 10b's minutes into seconds of real wall
-//! clock on a multi-core host.
+//! Compile-time benchmark for the profiling engine: how long the
+//! profiler takes to resolve a real model's workload set exhaustively
+//! (pruning off) vs with candidate pruning. Both arms measure serially
+//! on the calling thread through [`BoltProfiler::profile_batch`], so the
+//! gap is pruning alone.
 //!
 //! Workload sets: ResNet-50 (batch 32, the paper's CNN testbed) and the
 //! BERT GEMM list of Figures 1/8a. Results print as a table and are
@@ -32,7 +32,7 @@ struct EngineRun {
     winners: Vec<Option<bolt::ProfiledKernel>>,
 }
 
-fn run_engine(arch: &GpuArch, tasks: &[ProfileTask], pruning: bool, parallel: bool) -> EngineRun {
+fn run_engine(arch: &GpuArch, tasks: &[ProfileTask], pruning: bool) -> EngineRun {
     let mut wall_us = f64::INFINITY;
     let mut last = None;
     // Rep 0 is an untimed warmup (page faults, lazy allocator growth).
@@ -40,13 +40,7 @@ fn run_engine(arch: &GpuArch, tasks: &[ProfileTask], pruning: bool, parallel: bo
         let mut profiler = BoltProfiler::new(arch, 30);
         profiler.set_pruning(pruning);
         let start = Instant::now();
-        if parallel {
-            profiler.profile_batch(tasks);
-        } else {
-            for task in tasks {
-                profiler.profile_task(task);
-            }
-        }
+        profiler.profile_batch(tasks);
         let elapsed = start.elapsed().as_secs_f64() * 1e6;
         if rep > 0 {
             wall_us = wall_us.min(elapsed);
@@ -85,13 +79,12 @@ fn bert_tasks() -> Vec<ProfileTask> {
 
 fn main() {
     let arch = GpuArch::tesla_t4();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut table = Table::new(&[
         "workload set",
         "tasks",
         "unique",
         "sequential",
-        "parallel+pruned",
+        "pruned",
         "speedup",
         "measured",
         "pruned",
@@ -103,11 +96,11 @@ fn main() {
         ("resnet-50", resnet50_tasks(&arch)),
         ("bert-gemms", bert_tasks()),
     ] {
-        let sequential = run_engine(&arch, &tasks, false, false);
-        let engine = run_engine(&arch, &tasks, true, true);
+        let sequential = run_engine(&arch, &tasks, false);
+        let engine = run_engine(&arch, &tasks, true);
         assert_eq!(
             engine.winners, sequential.winners,
-            "{name}: engine must select bit-identical winners"
+            "{name}: pruning must select bit-identical winners"
         );
 
         let speedup = sequential.wall_us / engine.wall_us;
@@ -128,7 +121,7 @@ fn main() {
             concat!(
                 "    {{\"name\": \"{}\", \"tasks\": {}, \"unique_workloads\": {},\n",
                 "     \"sequential\": {{\"wall_us\": {:.1}, \"measurements\": {}}},\n",
-                "     \"parallel_pruned\": {{\"wall_us\": {:.1}, \"measurements\": {}, \"pruned\": {}}},\n",
+                "     \"pruned\": {{\"wall_us\": {:.1}, \"measurements\": {}, \"pruned\": {}}},\n",
                 "     \"speedup\": {:.3}, \"measurements_skipped_fraction\": {:.3}, \"winners_match\": true}}"
             ),
             name,
@@ -144,13 +137,11 @@ fn main() {
         ));
     }
 
-    table.print(&format!(
-        "Profiling engine: sequential exhaustive vs batched parallel + pruning ({threads} threads)"
-    ));
+    table.print("Profiling engine: exhaustive search vs candidate pruning");
     table.write_csv("profiling_engine");
 
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"workload_sets\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workload_sets\": [\n{}\n  ]\n}}\n",
         json_sets.join(",\n")
     );
     let dir = experiments_dir();

@@ -168,20 +168,21 @@ impl BoltCompiler {
         })
     }
 
-    /// Phase-1 view of a graph's profiling work: the deduplicated
-    /// workload set [`BoltCompiler::compile`] would measure, after the
-    /// same deployment passes. Useful for warming caches ahead of time
-    /// and for benchmarking the profiling engine in isolation.
+    /// The profiling work of a graph: one task per GEMM/Conv2D anchor, in
+    /// the order [`BoltCompiler::compile`] would measure them after the
+    /// same deployment passes (repeated workloads stay in;
+    /// [`BoltProfiler::profile_batch`] deduplicates them). Useful for
+    /// warming caches ahead of time and for benchmarking the profiler in
+    /// isolation.
     ///
     /// # Errors
     ///
     /// Returns an error when graph passes fail.
     pub fn profile_tasks(&self, graph: &Graph) -> Result<Vec<crate::profiler::ProfileTask>> {
-        let optimized = if self.config.deployment_passes {
-            PassManager::deployment().run(graph)?
-        } else {
-            graph.clone()
-        };
+        if !self.config.deployment_passes {
+            return Ok(crate::lower::collect_profile_tasks(graph, &self.config));
+        }
+        let optimized = PassManager::deployment().run(graph)?;
         Ok(crate::lower::collect_profile_tasks(
             &optimized,
             &self.config,

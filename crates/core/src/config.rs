@@ -31,9 +31,6 @@ pub struct BoltConfig {
     /// exceeds the best measured time. Admissible — never changes the
     /// selected winner, only the measurement count.
     pub candidate_pruning: bool,
-    /// Collect every workload up front and fan measurements across worker
-    /// threads before lowering, instead of measuring inline node by node.
-    pub parallel_profiling: bool,
     /// Minimum GEMM M extent before functional executors spread
     /// threadblock M-stripes across host cores (dense, back-to-back and
     /// persistent-chain kernels). Below the threshold execution stays
@@ -71,7 +68,6 @@ impl Default for BoltConfig {
             profiler_candidates: 30,
             deployment_passes: true,
             candidate_pruning: true,
-            parallel_profiling: true,
             parallel_m_rows: default_parallel_m_rows(),
             cache_path: None,
             bundle_path: None,
@@ -125,7 +121,7 @@ mod tests {
     fn defaults_enable_everything() {
         let c = BoltConfig::default();
         assert!(c.epilogue_fusion && c.persistent_kernels && c.kernel_padding);
-        assert!(c.candidate_pruning && c.parallel_profiling);
+        assert!(c.candidate_pruning);
         assert!(c.cache_path.is_none());
         assert!(c.profiler_candidates >= 10 && c.profiler_candidates <= 100);
         assert_eq!(c.parallel_m_rows, bolt_cutlass::PARALLEL_M_ROWS);

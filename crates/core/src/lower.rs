@@ -237,8 +237,8 @@ fn conv_workload(graph: &Graph, node: &Node, config: &BoltConfig) -> ConvWorkloa
     }
 }
 
-/// Phase 1 of lowering: walk the graph and derive the profiling task of
-/// every GEMM/Conv2D anchor, exactly as phase 2 will request them.
+/// The profiling task of every GEMM/Conv2D anchor in graph order,
+/// exactly as [`lower`] will request them.
 ///
 /// Anchors are never absorbed into other anchors' epilogues (only
 /// BiasAdd/Add/Activation nodes are), so every anchor can be visited
@@ -276,21 +276,16 @@ pub(crate) fn collect_profile_tasks(graph: &Graph, config: &BoltConfig) -> Vec<P
 
 /// Lowers an optimized graph to steps.
 ///
-/// Lowering is two-phase: first every unique GEMM/Conv2D workload in the
-/// graph is profiled as one batch ([`collect_profile_tasks`] +
-/// [`BoltProfiler::profile_batch`]), fanning measurements across worker
-/// threads; then the per-node lowering below runs against the now-warm
-/// cache, so graph rewriting never serializes behind measurement.
+/// Lowering walks the graph once in topological order. Each GEMM/Conv2D
+/// anchor asks the profiler for its workload's best template, which
+/// measures the workload inline the first time it is met and answers
+/// from the cache afterwards (the repeated blocks of a ResNet).
 pub(crate) fn lower(
     graph: &Graph,
     arch: &GpuArch,
     config: &BoltConfig,
     profiler: &BoltProfiler,
 ) -> Result<Vec<Step>> {
-    if config.parallel_profiling {
-        profiler.profile_batch(&collect_profile_tasks(graph, config));
-    }
-
     let mut steps: Vec<Step> = Vec::new();
     let mut covered: HashSet<NodeId> = HashSet::new();
 

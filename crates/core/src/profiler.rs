@@ -15,19 +15,20 @@
 //!   are skipped *before* their simulator setup (the [`KernelProfile`]) is
 //!   even built. The bound is admissible (never exceeds the measured
 //!   time), so the selected winner is bit-identical to exhaustive search.
-//! * **Batched parallel profiling** — [`BoltProfiler::profile_batch`]
-//!   fans a deduplicated workload set across worker threads. Each unique
-//!   workload is measured exactly once even under contention: the cache
-//!   slot is a [`OnceLock`] that the first arriving thread initializes
-//!   while later threads wait and reuse the result.
+//! * **Measure once, on the caller's thread** — a measurement is
+//!   arithmetic on validated configs, about ten microseconds per
+//!   workload, so a compile measures each workload inline the first time
+//!   lowering meets it and never pays for spawning threads. The profiler can still
+//!   be shared across threads (the server, the online tuner): each
+//!   unique workload is measured exactly once even under contention,
+//!   because its cache slot is a [`OnceLock`] that the first arriving
+//!   thread initializes while later threads wait and reuse the result.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use bolt_cutlass::{
-    host_parallelism, ConfigGenerator, Conv2dConfig, Epilogue, GemmConfig, GemmProblem,
-};
+use bolt_cutlass::{ConfigGenerator, Conv2dConfig, Epilogue, GemmConfig, GemmProblem};
 use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile};
 use bolt_tensor::conv_ref::Conv2dProblem;
 use bolt_tensor::DType;
@@ -89,10 +90,9 @@ impl ProfilerStats {
 
 /// One profiling request: a unique (workload, epilogue, dtype) tuple.
 ///
-/// Tasks are collected during the first lowering phase and handed to
-/// [`BoltProfiler::profile_batch`] so that measurement — the expensive
-/// part — runs batched and parallel instead of interleaved with graph
-/// rewriting.
+/// [`crate::BoltCompiler::profile_tasks`] lists a graph's tasks so that
+/// [`BoltProfiler::profile_batch`] can warm a cache ahead of a compile,
+/// or time the profiler on its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProfileTask {
     /// Profile a GEMM workload.
@@ -164,7 +164,7 @@ impl From<&Epilogue> for Epilogue2 {
 type Slot = Arc<OnceLock<Option<ProfiledKernel>>>;
 
 /// Locally-accumulated stats, merged into the shared [`ProfilerStats`]
-/// once per call (or once per worker thread in [`BoltProfiler::profile_batch`])
+/// once per call (once per batch in [`BoltProfiler::profile_batch`])
 /// instead of taking the stats lock per workload.
 #[derive(Debug, Default, Clone, Copy)]
 struct StatsDelta {
@@ -252,8 +252,8 @@ impl BoltProfiler {
     }
 
     /// [`BoltProfiler::profile_task`] accumulating stats into a local
-    /// delta instead of the shared lock — the batched path gives each
-    /// worker thread one delta and merges it once at the end.
+    /// delta instead of the shared lock — the batched path merges one
+    /// delta at the end.
     fn profile_task_with(
         &self,
         task: &ProfileTask,
@@ -308,15 +308,15 @@ impl BoltProfiler {
         })
     }
 
-    /// Profiles a batch of tasks, fanning unresolved workloads across
-    /// worker threads.
+    /// Profiles a batch of tasks on the calling thread.
     ///
     /// Tasks are deduplicated by cache key and already-resolved workloads
-    /// are filtered out first, so a warm cache makes this a no-op. Within
-    /// each workload candidates are still measured sequentially in
-    /// generator order, which keeps the selected winner (and the pruned
-    /// count) bit-identical to a fully sequential run — parallelism is
-    /// across workloads only.
+    /// are filtered out first, so a warm cache makes this a no-op. The
+    /// remaining workloads are measured in batch order, candidates within
+    /// each in generator order, exactly as [`BoltCompiler::compile`]
+    /// would meet them, and the stats are merged once.
+    ///
+    /// [`BoltCompiler::compile`]: crate::BoltCompiler::compile
     pub fn profile_batch(&self, tasks: &[ProfileTask]) {
         let pending: Vec<ProfileTask> = {
             let slots = self.slots.lock();
@@ -328,46 +328,11 @@ impl BoltProfiler {
                 .copied()
                 .collect()
         };
-        if pending.is_empty() {
-            return;
+        let mut delta = StatsDelta::default();
+        for task in &pending {
+            self.profile_task_with(task, &mut delta);
         }
-        let threads = host_parallelism().min(pending.len()).min(16);
-        if threads <= 1 {
-            let mut delta = StatsDelta::default();
-            for task in &pending {
-                self.profile_task_with(task, &mut delta);
-            }
-            self.merge_stats(&delta);
-            return;
-        }
-        let chunk = pending.len().div_ceil(threads);
-        let joined = crossbeam::thread::scope(|scope| {
-            for tasks in pending.chunks(chunk) {
-                scope.spawn(move |_| {
-                    // Batch this worker's measurements: one local stats
-                    // delta, merged under the lock once per thread.
-                    let mut delta = StatsDelta::default();
-                    for task in tasks {
-                        self.profile_task_with(task, &mut delta);
-                    }
-                    self.merge_stats(&delta);
-                });
-            }
-        });
-        if joined.is_err() {
-            // A profiling thread panicked. Recover instead of sinking the
-            // whole compile: re-run the still-unmeasured tasks serially,
-            // isolating each one so a poisoned measurement loses only its
-            // own slot (callers fall back to the heuristic default).
-            eprintln!(
-                "bolt: warning: a profiling thread panicked; re-profiling pending tasks serially"
-            );
-            for task in &pending {
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.profile_task(task)
-                }));
-            }
-        }
+        self.merge_stats(&delta);
     }
 
     /// Measures every non-pruned candidate of a task and returns the best.
@@ -427,8 +392,7 @@ impl BoltProfiler {
     /// measured, and the incumbent is replaced only by a strictly better
     /// time or by an equal time at a lower generator index — exactly the
     /// tie-break exhaustive search applies — so the selected winner is
-    /// bit-identical to exhaustive search regardless of how workloads are
-    /// scheduled across threads.
+    /// bit-identical to exhaustive search.
     fn search(
         &self,
         candidates: Vec<bolt_cutlass::CandidateSeed>,
@@ -823,7 +787,7 @@ mod tests {
             epilogue: ep,
             element: DType::F16,
         };
-        // Duplicates in the batch are deduplicated before fan-out.
+        // Duplicates in the batch are deduplicated before measuring.
         p.profile_batch(&[gemm, conv, gemm, conv, gemm]);
         let stats = p.stats();
         assert_eq!(stats.workloads, 2);

@@ -1,6 +1,6 @@
-//! Integration tests for the batched parallel profiling engine: shared
-//! profilers under thread contention, pruning/parallelism winner
-//! invariance, and the versioned on-disk autotune cache.
+//! Integration tests for the profiling engine: shared profilers under
+//! thread contention, pruning and batching winner invariance, and the
+//! versioned on-disk autotune cache.
 
 use proptest::prelude::*;
 
@@ -163,9 +163,9 @@ fn conv_task() -> impl Strategy<Value = ProfileTask> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // The engine's core soundness contract: batched parallel profiling
-    // with pruning selects bit-identical winners to an exhaustive,
-    // sequential, pruning-free search — for any workload mix.
+    // The engine's core soundness contract: batched profiling with
+    // pruning selects bit-identical winners to an exhaustive,
+    // task-by-task, pruning-free search — for any workload mix.
     #[test]
     fn pruned_parallel_matches_exhaustive_sequential(
         tasks in prop::collection::vec(prop_oneof![gemm_task(), conv_task()], 1..6),

@@ -68,7 +68,7 @@ pub type Result<T> = std::result::Result<T, KernelError>;
 /// `std::thread::available_parallelism` reads cgroup quota files on
 /// Linux and costs 15–20 µs of CPU per call (measured on a 2-vCPU x86-64
 /// VM), more than a decode-step GEMM's whole main loop; every functional
-/// launch and the profiler's batch fan-out ask for it.
+/// launch and the vendor library's candidate sweep ask for it.
 pub fn host_parallelism() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use bolt_tensor::{DType, Shape, Tensor};
 
@@ -47,13 +48,64 @@ pub struct Node {
 /// A directed acyclic computational graph. Nodes are stored in
 /// topological (insertion) order: an edge always points from a lower to a
 /// higher id.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Graph {
     nodes: Vec<Node>,
     outputs: Vec<NodeId>,
     /// Parameter data for `Constant` nodes (may be absent; the runtime
     /// materializes deterministic random data for timing-only runs).
     params: HashMap<NodeId, Tensor>,
+    /// Every node's consumers, built by the first [`Graph::consumers`]
+    /// query and reset by the edge mutators ([`Graph::add`],
+    /// [`Graph::replace_uses`]).
+    consumers: OnceLock<ConsumerIndex>,
+}
+
+/// The consumer index does not take part in equality: it is derived
+/// from `nodes`.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.outputs == other.outputs && self.params == other.params
+    }
+}
+
+/// Consumers of every node in compressed sparse row form: node `i`'s
+/// consumers are `ids[offsets[i]..offsets[i + 1]]`, ascending, each
+/// listed once however many times it reads `i`.
+#[derive(Debug, Clone)]
+struct ConsumerIndex {
+    offsets: Vec<usize>,
+    ids: Vec<NodeId>,
+}
+
+impl ConsumerIndex {
+    fn build(nodes: &[Node]) -> Self {
+        // Each distinct (producer, consumer) edge, visited in consumer
+        // order so every producer's list comes out ascending.
+        let edges = || {
+            nodes.iter().flat_map(|node| {
+                node.inputs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, input)| !node.inputs[..j].contains(input))
+                    .map(move |(_, input)| (input.0, node.id))
+            })
+        };
+        let mut offsets = vec![0usize; nodes.len() + 1];
+        for (producer, _) in edges() {
+            offsets[producer + 1] += 1;
+        }
+        for i in 0..nodes.len() {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..nodes.len()].to_vec();
+        let mut ids = vec![NodeId(0); offsets[nodes.len()]];
+        for (producer, consumer) in edges() {
+            ids[next[producer]] = consumer;
+            next[producer] += 1;
+        }
+        ConsumerIndex { offsets, ids }
+    }
 }
 
 impl Graph {
@@ -90,6 +142,7 @@ impl Graph {
             shape,
             dtype,
         });
+        self.consumers.take();
         Ok(id)
     }
 
@@ -170,29 +223,36 @@ impl Graph {
         self.params.get(&id)
     }
 
-    /// The ids of all nodes that consume `id`.
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.inputs.contains(&id))
-            .map(|n| n.id)
-            .collect()
+    /// The ids of all nodes that consume `id`, in ascending order; a node
+    /// that reads `id` more than once is listed once.
+    ///
+    /// The first query indexes every node's consumers in one pass over
+    /// the graph, so a caller that asks about each node in turn stays
+    /// linear in graph size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` came from a different graph.
+    pub fn consumers(&self, id: NodeId) -> &[NodeId] {
+        let index = self
+            .consumers
+            .get_or_init(|| ConsumerIndex::build(&self.nodes));
+        &index.ids[index.offsets[id.0]..index.offsets[id.0 + 1]]
     }
 
     /// The single consumer of `id`, if it has exactly one (and it is not a
     /// graph output consumed elsewhere).
     pub fn single_consumer(&self, id: NodeId) -> Option<NodeId> {
-        let consumers = self.consumers(id);
-        if consumers.len() == 1 && !self.outputs.contains(&id) {
-            Some(consumers[0])
-        } else {
-            None
+        match self.consumers(id) {
+            &[only] if !self.outputs.contains(&id) => Some(only),
+            _ => None,
         }
     }
 
     /// Redirects every use of `old` (including outputs) to `new`. Used by
     /// rewriting passes; the dead producer is removed later by DCE.
     pub fn replace_uses(&mut self, old: NodeId, new: NodeId) {
+        self.consumers.take();
         for node in &mut self.nodes {
             for input in &mut node.inputs {
                 if *input == old {

@@ -56,13 +56,13 @@ impl PassManager {
         PassManager::default()
     }
 
-    /// The standard deployment pipeline: BN folding, re-parameterization,
-    /// then DCE.
+    /// The standard deployment pipeline: BN folding, then
+    /// re-parameterization. Both end in dead-code elimination, so no
+    /// separate DCE pass follows them.
     pub fn deployment() -> Self {
         let mut pm = PassManager::new();
         pm.add(BatchNormFold);
         pm.add(RepVggReparam);
-        pm.add(DeadCodeElimination);
         pm
     }
 
@@ -78,8 +78,11 @@ impl PassManager {
     ///
     /// Propagates the first pass failure.
     pub fn run(&self, graph: &Graph) -> Result<Graph> {
-        let mut g = graph.clone();
-        for pass in &self.passes {
+        let Some((first, rest)) = self.passes.split_first() else {
+            return Ok(graph.clone());
+        };
+        let mut g = first.run(graph)?;
+        for pass in rest {
             g = pass.run(&g)?;
         }
         Ok(g)
@@ -168,6 +171,14 @@ impl Pass for BatchNormFold {
     }
 
     fn run(&self, graph: &Graph) -> Result<Graph> {
+        if !graph
+            .nodes()
+            .iter()
+            .any(|n| matches!(n.kind, OpKind::BatchNorm { .. }))
+        {
+            // Nothing to fold: the rewrite walk would copy every node.
+            return Ok(graph.eliminate_dead_nodes().0);
+        }
         let mut rb = Rebuilder::new();
         for node in graph.nodes() {
             if let OpKind::BatchNorm { eps } = node.kind {
@@ -302,6 +313,10 @@ impl Pass for RepVggReparam {
     }
 
     fn run(&self, graph: &Graph) -> Result<Graph> {
+        if !graph.nodes().iter().any(|n| n.kind == OpKind::Add) {
+            // Nothing to merge: the rewrite walk would copy every node.
+            return Ok(graph.eliminate_dead_nodes().0);
+        }
         let mut rb = Rebuilder::new();
         for node in graph.nodes() {
             if node.kind == OpKind::Add {

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bolt_graph::passes::{DeadCodeElimination, Pass, PassManager};
 use bolt_graph::{extract_workloads, partition, Graph, GraphBuilder, NodeId, OpKind};
-use bolt_tensor::{Activation, DType};
+use bolt_tensor::{Activation, DType, Shape};
 
 /// Instruction stream for building a random (but always valid) CNN-ish
 /// graph: each step appends one operator wired to a random previous
@@ -103,8 +103,88 @@ fn build(steps: &[BuildStep]) -> Graph {
     b.finish(&[cur])
 }
 
+/// One edit of a same-shaped graph; indices pick existing nodes modulo
+/// the graph's length.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Relu(usize),
+    Add(usize, usize),
+    /// `Add(x, x)`: one node reading the same input twice.
+    AddTwice(usize),
+    ReplaceUses(usize, usize),
+    Output(usize),
+}
+
+fn edits() -> impl Strategy<Value = Vec<Edit>> {
+    let edit = prop_oneof![
+        (0usize..64).prop_map(Edit::Relu),
+        (0usize..64, 0usize..64).prop_map(|(a, b)| Edit::Add(a, b)),
+        (0usize..64).prop_map(Edit::AddTwice),
+        (0usize..64, 0usize..64).prop_map(|(a, b)| Edit::ReplaceUses(a, b)),
+        (0usize..64).prop_map(Edit::Output),
+    ];
+    prop::collection::vec(edit, 1..32)
+}
+
+/// `Graph::consumers` and `Graph::single_consumer` against a scan of
+/// every node, for every id.
+fn check_consumers(g: &Graph) -> Result<(), TestCaseError> {
+    for node in g.nodes() {
+        let id = node.id;
+        let scan: Vec<NodeId> = g
+            .nodes()
+            .iter()
+            .filter(|n| n.inputs.contains(&id))
+            .map(|n| n.id)
+            .collect();
+        prop_assert_eq!(g.consumers(id), scan.as_slice(), "consumers of {}", id);
+        let single = match scan.as_slice() {
+            [only] if !g.outputs().contains(&id) => Some(*only),
+            _ => None,
+        };
+        prop_assert_eq!(g.single_consumer(id), single, "single consumer of {}", id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn consumer_index_matches_a_scan_across_edits(edits in edits()) {
+        let mut g = Graph::new();
+        for name in ["x0", "x1"] {
+            let input = OpKind::Input { shape: Shape::new(&[1, 2, 4, 4]), dtype: DType::F16 };
+            g.add(input, &[], name).unwrap();
+        }
+        // Query after every edit, so a stale index from the previous
+        // state would be read.
+        check_consumers(&g)?;
+        for edit in edits {
+            let pick = |i: usize| g.nodes()[i % g.len()].id;
+            match edit {
+                Edit::Relu(a) => {
+                    g.add(OpKind::Activation(Activation::ReLU), &[pick(a)], "relu").unwrap();
+                }
+                Edit::Add(a, b) => {
+                    g.add(OpKind::Add, &[pick(a), pick(b)], "add").unwrap();
+                }
+                Edit::AddTwice(a) => {
+                    let x = pick(a);
+                    g.add(OpKind::Add, &[x, x], "add_twice").unwrap();
+                }
+                Edit::ReplaceUses(old, new) => {
+                    let (old, new) = (pick(old), pick(new));
+                    g.replace_uses(old, new);
+                }
+                Edit::Output(a) => {
+                    let out = pick(a);
+                    g.set_outputs(&[out]);
+                }
+            }
+            check_consumers(&g)?;
+        }
+    }
 
     #[test]
     fn dce_preserves_outputs_and_removes_garbage(steps in build_steps()) {

@@ -184,7 +184,10 @@ fn serving_survives_seeded_fault_storm_with_zero_lost_requests() {
         .iter()
         .filter(|e| e.site == FaultSite::Compile)
         .count() as u64;
-    drop(guard); // Uninstall: the recovery below runs fault-free.
+    drop(guard);
+    // The recovery below runs fault-free, under an empty plan: holding it
+    // keeps another test's plan from being installed meanwhile.
+    let _fault_free = faults::install(ChaosConfig::default());
 
     // Self-healing: with the plan gone, re-requesting every key still in
     // `Failed` (once its backoff elapses) recompiles it successfully —
@@ -368,8 +371,10 @@ fn breaker_trips_serves_degraded_then_probe_recovers() {
     assert!(snap.degraded_served >= 2, "degraded requests are counted");
 
     // Stop injecting, wait out the cooldown: the next miss admits one
-    // half-open probe, the probe succeeds, and the breaker closes.
+    // half-open probe, the probe succeeds, and the breaker closes. The
+    // probe runs under an empty plan, so no other test's plan reaches it.
     drop(guard);
+    let _fault_free = faults::install(ChaosConfig::default());
     std::thread::sleep(Duration::from_millis(300));
     let placed = manager.acquire(&engines, 2).expect("probe miss");
     assert!(placed.degraded, "the probe itself still serves degraded");

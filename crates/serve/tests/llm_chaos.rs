@@ -51,7 +51,10 @@ fn worker_kills_mid_decode_are_retried_without_losing_tokens() {
         sample_prompts("tiny-lm", 6, PromptLengths::uniform(2, 12), 77).expect("tiny-lm prompts");
     let max_new = 5;
 
-    // Fault-free oracle first: one sequence at a time, no chaos plan.
+    // Fault-free oracle first: one sequence at a time, under an empty
+    // plan. Holding it keeps another test's plan from being installed
+    // while the oracle runs.
+    let empty = faults::install(ChaosConfig::default());
     let mut oracle = batcher(1);
     let mut expected = Vec::new();
     for prompt in &prompts {
@@ -60,6 +63,7 @@ fn worker_kills_mid_decode_are_retried_without_losing_tokens() {
         assert_eq!(done.len(), 1);
         expected.push(done.pop().expect("one result").tokens);
     }
+    drop(empty);
 
     // Now the chaos run: kill the decode worker at WorkerKill
     // occurrences 1, 3, and 6 (zero-based). The occurrence counter
@@ -124,7 +128,9 @@ fn kv_pressure_mid_decode_preempts_and_recovers_bit_identically() {
         sample_prompts("tiny-lm", 8, PromptLengths::fixed(14), 31).expect("tiny-lm prompts");
     let max_new = 8;
 
-    // Fault-free oracle: one sequence at a time, roomy default budget.
+    // Fault-free oracle: one sequence at a time, roomy default budget,
+    // under an empty plan (see the test above).
+    let empty = faults::install(ChaosConfig::default());
     let mut oracle = batcher(1);
     let mut expected = Vec::new();
     for prompt in &prompts {
@@ -133,6 +139,7 @@ fn kv_pressure_mid_decode_preempts_and_recovers_bit_identically() {
         assert_eq!(done.len(), 1);
         expected.push(done.pop().expect("one result").tokens);
     }
+    drop(empty);
 
     // Two pressure episodes (occurrences are per-step polls): one as the
     // first block crossings queue up, one mid-replay. Each withholds
