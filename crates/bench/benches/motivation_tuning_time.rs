@@ -18,7 +18,8 @@ fn main() {
     let mut table = Table::new(&[
         "model",
         "unique tasks",
-        "Bolt tuning",
+        "Bolt tuning (no pruning)",
+        "Bolt tuning (pruned)",
         "Ansor (900 trials/task)",
         "speedup",
         "Bolt (img/s)",
@@ -33,6 +34,20 @@ fn main() {
         let compiler = BoltCompiler::new(t4.clone(), BoltConfig::default());
         let model = compiler.compile(&graph).expect("compiles");
         let bolt_report = model.time();
+        let exhaustive = BoltCompiler::new(
+            t4.clone(),
+            BoltConfig {
+                candidate_pruning: false,
+                ..BoltConfig::default()
+            },
+        )
+        .compile(&graph)
+        .expect("compiles without pruning");
+        assert_eq!(
+            exhaustive.time().total_us.to_bits(),
+            bolt_report.total_us.to_bits(),
+            "{name}: pruning must not change the selected kernels"
+        );
 
         let tuner = AnsorTuner::with_trials(&t4, 900);
         let tuning = tuner.tune_graph(&graph);
@@ -42,6 +57,7 @@ fn main() {
         table.row(&[
             name.to_string(),
             tasks.to_string(),
+            fmt_seconds(exhaustive.tuning.tuning_seconds),
             fmt_seconds(model.tuning.tuning_seconds),
             fmt_seconds(tuning.tuning_seconds),
             format!("{:.1}x", ansor_report.total_us / bolt_report.total_us),
@@ -49,7 +65,8 @@ fn main() {
             format!("{:.0}", batch as f64 / (ansor_report.total_us / 1e6)),
         ]);
         println!(
-            "{name}: {tasks} tasks; Bolt {} vs Ansor {}",
+            "{name}: {tasks} tasks; Bolt {} (no pruning) / {} (pruned) vs Ansor {}",
+            fmt_seconds(exhaustive.tuning.tuning_seconds),
             fmt_seconds(model.tuning.tuning_seconds),
             fmt_seconds(tuning.tuning_seconds)
         );

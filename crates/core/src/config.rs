@@ -31,14 +31,6 @@ pub struct BoltConfig {
     /// exceeds the best measured time. Admissible — never changes the
     /// selected winner, only the measurement count.
     pub candidate_pruning: bool,
-    /// Minimum GEMM M extent before functional executors spread
-    /// threadblock M-stripes across host cores (dense, back-to-back and
-    /// persistent-chain kernels). Below the threshold execution stays
-    /// sequential, so decode-step skinny GEMMs (M = a handful of live
-    /// sequences) never pay thread spawn/join overhead; wide prefill
-    /// GEMMs above it still parallelize. Defaults to
-    /// `bolt_cutlass::PARALLEL_M_ROWS` (256).
-    pub parallel_m_rows: usize,
     /// On-disk autotune cache location. Loaded (if present and valid) at
     /// compiler construction and saved after every compile. When `None`,
     /// the `BOLT_TUNE_CACHE` environment variable is consulted instead;
@@ -54,10 +46,6 @@ pub struct BoltConfig {
     pub bundle_path: Option<PathBuf>,
 }
 
-fn default_parallel_m_rows() -> usize {
-    bolt_cutlass::PARALLEL_M_ROWS
-}
-
 impl Default for BoltConfig {
     fn default() -> Self {
         BoltConfig {
@@ -68,7 +56,6 @@ impl Default for BoltConfig {
             profiler_candidates: 30,
             deployment_passes: true,
             candidate_pruning: true,
-            parallel_m_rows: default_parallel_m_rows(),
             cache_path: None,
             bundle_path: None,
         }
@@ -124,7 +111,6 @@ mod tests {
         assert!(c.candidate_pruning);
         assert!(c.cache_path.is_none());
         assert!(c.profiler_candidates >= 10 && c.profiler_candidates <= 100);
-        assert_eq!(c.parallel_m_rows, bolt_cutlass::PARALLEL_M_ROWS);
     }
 
     #[test]

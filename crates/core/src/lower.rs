@@ -389,8 +389,7 @@ fn lower_dense(
             .ok_or_else(|| BoltError::NoKernel {
                 workload: problem.to_string(),
             })?;
-    let kernel = GemmKernel::new(problem, profiled.config, epilogue)
-        .with_parallel_m_rows(config.parallel_m_rows);
+    let kernel = GemmKernel::new(problem, profiled.config, epilogue);
 
     let mut inputs = vec![node.inputs[0]];
     if let Some(r) = absorbed.residual {
@@ -555,19 +554,12 @@ fn grow_chains(graph: &Graph, arch: &GpuArch, mut steps: Vec<Step>) -> Result<Ve
             let Ok(chain) = PersistentGemmChain::auto(arch, &problems, &epilogues) else {
                 continue;
             };
-            // Profit check: the longer chain must beat head + tail. The
-            // chain inherits the head's parallel-stripe threshold (set
-            // from `BoltConfig::parallel_m_rows` at dense lowering).
-            let (head_us, head_pmr) = match &steps[i].kind {
-                StepKind::B2bGemm { kernel, .. } => {
-                    (kernel.time(arch).total_us, kernel.parallel_m_rows)
-                }
-                StepKind::GemmChain { chain, .. } => {
-                    (chain.time(arch).total_us, chain.parallel_m_rows)
-                }
+            // Profit check: the longer chain must beat head + tail.
+            let head_us = match &steps[i].kind {
+                StepKind::B2bGemm { kernel, .. } => kernel.time(arch).total_us,
+                StepKind::GemmChain { chain, .. } => chain.time(arch).total_us,
                 _ => unreachable!(),
             };
-            let chain = chain.with_parallel_m_rows(head_pmr);
             let tail_us = next.time(arch).total_us;
             if chain.time(arch).total_us >= head_us + tail_us {
                 continue;
@@ -631,7 +623,6 @@ fn find_fusion(graph: &Graph, arch: &GpuArch, steps: &[Step]) -> Option<(usize, 
                     else {
                         break;
                     };
-                    let fused = fused.with_parallel_m_rows(k0.parallel_m_rows);
                     let fused_us = fused.time(arch).total_us;
                     let unfused_us = k0.time(arch).total_us + k1.time(arch).total_us;
                     if fused_us < unfused_us {

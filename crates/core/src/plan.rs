@@ -814,35 +814,6 @@ pub struct StepTimings {
     pub steps: Vec<StepTiming>,
 }
 
-impl StepTimings {
-    /// Scales the compute portion of every step by batch occupancy
-    /// (`rows / capacity`), keeping launch overhead intact.
-    ///
-    /// A partial batch still launches every kernel, but the zero-padded
-    /// tail rows are not real work — attributing the full bucket-sized
-    /// kernel time to a half-empty launch overstates per-sample cost.
-    #[must_use]
-    pub fn scaled_occupancy(&self, rows: usize, capacity: usize) -> StepTimings {
-        let frac = if capacity == 0 {
-            1.0
-        } else {
-            (rows.min(capacity) as f64) / capacity as f64
-        };
-        StepTimings {
-            steps: self
-                .steps
-                .iter()
-                .map(|s| StepTiming {
-                    index: s.index,
-                    name: s.name.clone(),
-                    total_us: s.launch_us + (s.total_us - s.launch_us) * frac,
-                    launch_us: s.launch_us,
-                })
-                .collect(),
-        }
-    }
-}
-
 impl StepObserver for StepTimings {
     fn observe(&mut self, index: usize, step: &Step, time: &KernelTime) {
         self.steps.push(StepTiming {

@@ -72,10 +72,6 @@ pub struct B2bGemmKernel {
     pub epilogue1: Epilogue,
     /// Intermediate-residence design.
     pub residence: Residence,
-    /// Minimum M before [`B2bGemmKernel::run_into`] parallelizes
-    /// M-stripes across host cores (see
-    /// [`GemmKernel::parallel_m_rows`]).
-    pub parallel_m_rows: usize,
 }
 
 impl B2bGemmKernel {
@@ -116,16 +112,7 @@ impl B2bGemmKernel {
             epilogue0,
             epilogue1,
             residence,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         }
-    }
-
-    /// Overrides the M extent at which [`B2bGemmKernel::run_into`] goes
-    /// data-parallel (propagated to the per-stripe GEMM sub-kernels).
-    #[must_use]
-    pub fn with_parallel_m_rows(mut self, rows: usize) -> Self {
-        self.parallel_m_rows = rows.max(1);
-        self
     }
 
     /// Picks the RF-resident variant when it is legal on `arch`, otherwise
@@ -278,13 +265,11 @@ impl B2bGemmKernel {
             problem: self.gemm0,
             config: self.config0,
             epilogue: self.epilogue0,
-            parallel_m_rows: self.parallel_m_rows,
         };
         let k1_kernel = GemmKernel {
             problem: self.gemm1,
             config: self.config1,
             epilogue: self.epilogue1,
-            parallel_m_rows: self.parallel_m_rows,
         };
 
         let mut d1 = Tensor::zeros(&[m, n1], self.epilogue1.out_dtype);
@@ -323,10 +308,6 @@ impl B2bGemmKernel {
     /// software analogue of the fast-memory residence) instead of a fresh
     /// tensor per stripe, `A` stripes are read in place, and `D1` stripes
     /// land directly in `out`. Bit-identical to [`B2bGemmKernel::run`].
-    ///
-    /// On multi-core hosts with a large enough M extent the stripes are
-    /// spread across threads; every stripe is independent, so results are
-    /// unchanged.
     ///
     /// `a_quantized` asserts that `a` is already exactly representable in
     /// the first GEMM's element dtype, and `weights_quantized` the same of
@@ -383,94 +364,16 @@ impl B2bGemmKernel {
         }
         let (out, pad) = out.split_at_mut(rows * n1);
         pad.fill(0.0);
-        let tb_m = self.config0.threadblock.m;
-        let stripes = rows.div_ceil(tb_m);
-        let threads = crate::host_parallelism();
-        if threads > 1 && stripes > 1 && rows >= self.parallel_m_rows.max(1) {
-            let workers = threads.min(stripes);
-            let per = stripes.div_ceil(workers);
-            let result = std::sync::Mutex::new(Ok(()));
-            std::thread::scope(|scope| {
-                let mut rest = out;
-                let mut s0 = 0;
-                while s0 < stripes {
-                    let s1 = (s0 + per).min(stripes);
-                    let stripe_rows = (s1 * tb_m).min(rows) - s0 * tb_m;
-                    let (chunk, tail) = rest.split_at_mut(stripe_rows * n1);
-                    rest = tail;
-                    let result = &result;
-                    scope.spawn(move || {
-                        let (mut acc, mut d0) = (Vec::new(), Vec::new());
-                        if let Err(e) = self.stripes_into(
-                            a,
-                            w0,
-                            c0,
-                            w1,
-                            c1,
-                            s0..s1,
-                            rows,
-                            &mut acc,
-                            &mut d0,
-                            chunk,
-                            a_quantized,
-                            weights_quantized,
-                        ) {
-                            *result.lock().unwrap() = Err(e);
-                        }
-                    });
-                    s0 = s1;
-                }
-            });
-            result.into_inner().unwrap()
-        } else {
-            self.stripes_into(
-                a,
-                w0,
-                c0,
-                w1,
-                c1,
-                0..stripes,
-                rows,
-                acc,
-                d0,
-                out,
-                a_quantized,
-                weights_quantized,
-            )
-        }
-    }
-
-    /// Computes M-stripes `stripes`, stopping at row `live`; `out`
-    /// starts at global row `stripes.start * tb_m`.
-    #[allow(clippy::too_many_arguments)]
-    fn stripes_into(
-        &self,
-        a: &[f32],
-        w0: &[f32],
-        c0: Option<&Tensor>,
-        w1: &[f32],
-        c1: Option<&Tensor>,
-        stripes: std::ops::Range<usize>,
-        live: usize,
-        acc: &mut Vec<f32>,
-        d0: &mut Vec<f32>,
-        out: &mut [f32],
-        a_quantized: bool,
-        weights_quantized: bool,
-    ) -> Result<()> {
-        let (n0, k0) = (self.gemm0.n, self.gemm0.k);
+        let n0 = self.gemm0.n;
         let d0_quantized = self.epilogue0.out_dtype == self.gemm1.element;
-        let n1 = self.gemm1.n;
         let tb_m = self.config0.threadblock.m;
-        let base = stripes.start * tb_m;
-        for s in stripes {
+        for s in 0..rows.div_ceil(tb_m) {
             let row0 = s * tb_m;
-            let rows = tb_m.min(live - row0);
+            let rows = tb_m.min(rows - row0);
             let mut k0_kernel = GemmKernel {
                 problem: self.gemm0,
                 config: self.config0,
                 epilogue: self.epilogue0,
-                parallel_m_rows: self.parallel_m_rows,
             };
             k0_kernel.problem.m = rows;
             d0.resize(rows * n0, 0.0);
@@ -489,10 +392,9 @@ impl B2bGemmKernel {
                 problem: self.gemm1,
                 config: self.config1,
                 epilogue: self.epilogue1,
-                parallel_m_rows: self.parallel_m_rows,
             };
             k1_kernel.problem.m = rows;
-            let out_rows = &mut out[(row0 - base) * n1..(row0 - base + rows) * n1];
+            let out_rows = &mut out[row0 * n1..(row0 + rows) * n1];
             k1_kernel.run_into(
                 d0,
                 w1,
@@ -742,7 +644,6 @@ impl B2bConvKernel {
             epilogue0: self.epilogue0,
             epilogue1: self.epilogue1,
             residence: self.residence,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         }
     }
 

@@ -45,9 +45,6 @@ pub struct PersistentGemmChain {
     pub stages: Vec<ChainStage>,
     /// Intermediate-residence design (shared by every handoff).
     pub residence: Residence,
-    /// Minimum M before the per-stage executors parallelize M-stripes
-    /// (see [`GemmKernel::parallel_m_rows`]).
-    pub parallel_m_rows: usize,
 }
 
 impl PersistentGemmChain {
@@ -87,19 +84,7 @@ impl PersistentGemmChain {
                 }
             })
             .collect();
-        Ok(PersistentGemmChain {
-            stages,
-            residence,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
-        })
-    }
-
-    /// Overrides the M extent at which the stage executors go
-    /// data-parallel (see [`GemmKernel::with_parallel_m_rows`]).
-    #[must_use]
-    pub fn with_parallel_m_rows(mut self, rows: usize) -> Self {
-        self.parallel_m_rows = rows.max(1);
-        self
+        Ok(PersistentGemmChain { stages, residence })
     }
 
     /// Picks RF residence when legal, else shared memory.
@@ -250,7 +235,6 @@ impl PersistentGemmChain {
                 problem: stage.problem,
                 config: stage.config,
                 epilogue: stage.epilogue,
-                parallel_m_rows: self.parallel_m_rows,
             };
             let (d, _) = kernel.run(&cur, w, *b)?;
             cur = d;
@@ -304,7 +288,6 @@ impl PersistentGemmChain {
                 problem: stage.problem,
                 config: stage.config,
                 epilogue: stage.epilogue,
-                parallel_m_rows: self.parallel_m_rows,
             };
             let numel = stage.problem.m * stage.problem.n;
             let aq = if i == 0 {

@@ -122,7 +122,6 @@ impl Conv2dKernel {
             problem: self.implicit_gemm(),
             config: self.config.gemm,
             epilogue: self.epilogue,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         };
         let (d, _) = gemm.run(&cols, &fm, bias)?;
 
@@ -202,7 +201,6 @@ impl Conv2dKernel {
             problem: self.implicit_gemm(),
             config: self.config.gemm,
             epilogue: self.epilogue,
-            parallel_m_rows: crate::gemm::PARALLEL_M_ROWS,
         };
         gemm.run_into(
             cols,

@@ -109,14 +109,6 @@ impl fmt::Display for GemmProblem {
     }
 }
 
-/// Minimum GEMM M extent before [`GemmKernel::run_into`] spreads
-/// threadblock M-stripes across host cores. Small-M problems (single
-/// serving requests) stay on the sequential path, so single-request
-/// latency never pays thread spawn/join overhead; large-M problems
-/// (stacked batches, wide im2col matrices) parallelize when the host has
-/// more than one core.
-pub const PARALLEL_M_ROWS: usize = 256;
-
 /// True when every value survives rounding through `dtype` bit for bit:
 /// the condition a caller asserts by flagging an operand pre-quantized.
 fn holds_exactly(values: &[f32], dtype: DType) -> bool {
@@ -135,12 +127,6 @@ pub struct GemmKernel {
     pub config: GemmConfig,
     /// Fused epilogue.
     pub epilogue: Epilogue,
-    /// Minimum M extent before [`GemmKernel::run_into`] spreads
-    /// threadblock M-stripes across host cores ([`PARALLEL_M_ROWS`] by
-    /// default). Deployments serving decode-step skinny GEMMs tune this
-    /// through `BoltConfig::parallel_m_rows` so single-token batches
-    /// never pay thread-scope overhead.
-    pub parallel_m_rows: usize,
 }
 
 impl GemmKernel {
@@ -156,18 +142,7 @@ impl GemmKernel {
             problem,
             config,
             epilogue,
-            parallel_m_rows: PARALLEL_M_ROWS,
         }
-    }
-
-    /// Overrides the M extent at which [`GemmKernel::run_into`] goes
-    /// data-parallel. Clamped to at least 1 (0 would claim every
-    /// problem, including the degenerate single-stripe ones the parallel
-    /// path already skips).
-    #[must_use]
-    pub fn with_parallel_m_rows(mut self, rows: usize) -> Self {
-        self.parallel_m_rows = rows.max(1);
-        self
     }
 
     /// Validates the template against `arch`.
@@ -308,11 +283,8 @@ impl GemmKernel {
     /// pass `false` whenever an operand's provenance is not known, and it
     /// is staged through rounding once per k-tile.
     ///
-    /// When the host has more than one core and the problem is large
-    /// enough ([`GemmKernel::parallel_m_rows`]), the threadblock M-stripes are
-    /// executed data-parallel with `std::thread::scope`; every tile is
-    /// computed independently with unchanged arithmetic order, so the
-    /// result stays bit-identical to the sequential walk.
+    /// The tile walk runs on the calling thread: the GPU's threadblock
+    /// parallelism is priced by the simulator, not replayed on the host.
     ///
     /// # Errors
     ///
@@ -373,95 +345,29 @@ impl GemmKernel {
 
         let (live, pad) = out.split_at_mut(rows * p.n);
         pad.fill(0.0);
-        let tb_m = self.config.threadblock.m;
-        let grid_m = rows.div_ceil(tb_m);
-        let threads = crate::host_parallelism();
-        if threads > 1 && grid_m > 1 && rows >= self.parallel_m_rows.max(1) {
-            // Data-parallel M-stripes: each worker owns a contiguous run
-            // of threadblock rows, which is a contiguous slice of `out`.
-            let workers = threads.min(grid_m);
-            let per = grid_m.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut rest = live;
-                let mut bm0 = 0;
-                while bm0 < grid_m {
-                    let bm1 = (bm0 + per).min(grid_m);
-                    let stripe_rows = (bm1 * tb_m).min(rows) - bm0 * tb_m;
-                    let (chunk, tail) = rest.split_at_mut(stripe_rows * p.n);
-                    rest = tail;
-                    let (b0, b1) = (bm0, bm1);
-                    scope.spawn(move || {
-                        let mut local_acc = Vec::new();
-                        self.stripes_into(
-                            a,
-                            b,
-                            c,
-                            b0..b1,
-                            rows,
-                            &mut local_acc,
-                            chunk,
-                            a_quantized,
-                            b_quantized,
-                        );
-                    });
-                    bm0 = bm1;
-                }
-            });
-        } else {
-            self.stripes_into(
-                a,
-                b,
-                c,
-                0..grid_m,
-                rows,
-                acc,
-                live,
-                a_quantized,
-                b_quantized,
-            );
-        }
-        Ok(())
-    }
 
-    /// Computes threadblock stripes `stripes` into `out`, whose first
-    /// element corresponds to global row `stripes.start * tb_m`, stopping
-    /// at row `live` (the last stripe may be cut short). Tile walk,
-    /// k-order, and rounding are identical to [`GemmKernel::run`]: an
-    /// operand of unknown provenance is rounded through the element dtype
-    /// on its global->smem stage, exactly once per k-tile; a
-    /// pre-quantized one is read in place. The MAC loop then multiplies
-    /// the same numbers [`GemmKernel::run`] rounds per multiply, in the
-    /// same order.
-    #[allow(clippy::too_many_arguments)]
-    fn stripes_into(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        c: Option<&Tensor>,
-        stripes: std::ops::Range<usize>,
-        live: usize,
-        acc: &mut Vec<f32>,
-        out: &mut [f32],
-        a_quantized: bool,
-        b_quantized: bool,
-    ) {
-        let p = &self.problem;
+        // Tile walk, k-order, and rounding are identical to `run`: an
+        // operand of unknown provenance is rounded through the element
+        // dtype on its global->smem stage, exactly once per k-tile; a
+        // pre-quantized one is read in place. The MAC loop then multiplies
+        // the same numbers `run` rounds per multiply, in the same order.
+        // The last threadblock row stops at `rows`.
         let tb = self.config.threadblock;
         let elt = p.element;
+        let grid_m = rows.div_ceil(tb.m);
         let grid_n = p.n.div_ceil(tb.n);
         let split_k = self.config.split_k.max(1);
         let slice_len = p.k.div_ceil(split_k);
-        let base_row = stripes.start * tb.m;
         // Shared-memory fragments for operands that still need rounding;
         // grown lazily, so they stay empty when both are pre-quantized.
         let mut a_smem: Vec<f32> = Vec::new();
         let mut b_smem: Vec<f32> = Vec::new();
 
-        for bm in stripes {
+        for bm in 0..grid_m {
             for bn in 0..grid_n {
                 let row0 = bm * tb.m;
                 let col0 = bn * tb.n;
-                let rows = tb.m.min(live - row0);
+                let rows = tb.m.min(rows - row0);
                 let cols = tb.n.min(p.n - col0);
                 acc.clear();
                 acc.resize(rows * cols, 0.0);
@@ -515,11 +421,12 @@ impl GemmKernel {
                 }
 
                 for (r, acc_row) in acc.chunks_exact(cols).enumerate() {
-                    let out_row = &mut out[(row0 - base_row + r) * p.n + col0..][..cols];
+                    let out_row = &mut live[(row0 + r) * p.n + col0..][..cols];
                     self.epilogue.store_row(acc_row, row0 + r, col0, c, out_row);
                 }
             }
         }
+        Ok(())
     }
 
     /// The kernel's performance profile for the GPU simulator.
@@ -757,36 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn skinny_m1_stays_sequential_at_any_threshold() {
-        // Decode-step regression: an M=1 GEMM must produce the same bits
-        // whatever the parallel-stripe threshold is set to, and must
-        // never enter the thread-scope path (grid_m == 1 at M=1 makes
-        // that structurally impossible; this pins it).
-        let problem = GemmProblem::fp16(1, 96, 64);
-        let a = Tensor::randn(&[1, 64], DType::F16, 11);
-        let b = Tensor::randn(&[64, 96], DType::F16, 12);
-        let base = GemmKernel::new(
-            problem,
-            GemmConfig::turing_default(),
-            Epilogue::linear(DType::F16),
-        );
-        let mut acc = Vec::new();
-        let mut want = vec![0.0f32; 96];
-        base.run_into(a.data(), b.data(), None, &mut acc, &mut want, 1, true, true)
-            .unwrap();
-        for threshold in [1usize, 2, 256, usize::MAX] {
-            let k = base.clone().with_parallel_m_rows(threshold);
-            let mut got = vec![0.0f32; 96];
-            k.run_into(a.data(), b.data(), None, &mut acc, &mut got, 1, true, true)
-                .unwrap();
-            assert_eq!(want, got, "threshold={threshold}");
-        }
-        // with_parallel_m_rows(0) clamps to 1 rather than claiming
-        // every problem.
-        assert_eq!(base.clone().with_parallel_m_rows(0).parallel_m_rows, 1);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "A flagged pre-quantized")]
     fn unquantized_operand_flagged_pre_quantized_is_caught() {
@@ -809,40 +686,6 @@ mod tests {
             true,
             true,
         );
-    }
-
-    #[test]
-    fn parallel_threshold_is_bit_identical_to_sequential() {
-        // Force the parallel branch with a low threshold on a multi-stripe
-        // problem and compare against the sequential walk bit for bit.
-        let problem = GemmProblem::fp16(96, 40, 32);
-        let mut c = GemmConfig::turing_default();
-        c.threadblock = crate::tiles::TileShape::new(16, 16, 8);
-        c.warp = crate::tiles::TileShape::new(8, 8, 8);
-        let a = Tensor::randn(&[96, 32], DType::F16, 21);
-        let b = Tensor::randn(&[32, 40], DType::F16, 22);
-        let sequential = GemmKernel::new(problem, c, Epilogue::linear(DType::F16))
-            .with_parallel_m_rows(usize::MAX);
-        let parallel = sequential.clone().with_parallel_m_rows(1);
-        let mut acc = Vec::new();
-        let mut want = vec![0.0f32; 96 * 40];
-        let mut got = vec![0.0f32; 96 * 40];
-        sequential
-            .run_into(
-                a.data(),
-                b.data(),
-                None,
-                &mut acc,
-                &mut want,
-                96,
-                true,
-                true,
-            )
-            .unwrap();
-        parallel
-            .run_into(a.data(), b.data(), None, &mut acc, &mut got, 96, true, true)
-            .unwrap();
-        assert_eq!(want, got);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use chain::{ChainStage, PersistentGemmChain};
 pub use conv2d::{Conv2dConfig, Conv2dKernel};
 pub use epilogue::{BiasMode, Epilogue};
 pub use error::KernelError;
-pub use gemm::{GemmKernel, GemmProblem, PARALLEL_M_ROWS};
+pub use gemm::{GemmKernel, GemmProblem};
 pub use generator::{CandidateSeed, ConfigGenerator};
 pub use template::GemmConfig;
 pub use tiles::TileShape;
@@ -62,14 +62,3 @@ pub use vendor::VendorLibrary;
 
 /// Result alias for kernel-library operations.
 pub type Result<T> = std::result::Result<T, KernelError>;
-
-/// Worker threads the host offers, resolved once per process.
-///
-/// `std::thread::available_parallelism` reads cgroup quota files on
-/// Linux and costs 15–20 µs of CPU per call (measured on a 2-vCPU x86-64
-/// VM), more than a decode-step GEMM's whole main loop; every functional
-/// launch and the vendor library's candidate sweep ask for it.
-pub fn host_parallelism() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}

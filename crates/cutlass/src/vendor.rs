@@ -69,7 +69,7 @@ impl VendorLibrary {
         }
         let ep = Epilogue::linear(problem.element);
         let candidates = self.generator.gemm_candidates(problem);
-        let best = parallel_min_time(&self.arch, &candidates, |arch, config| {
+        let best = min_time(&self.arch, &candidates, |arch, config| {
             perf::gemm_profile(arch, problem, config, &ep, None)
         });
         self.gemm_cache.lock().insert(*problem, best);
@@ -93,7 +93,7 @@ impl VendorLibrary {
             Epilogue::linear(DType::F16)
         };
         let candidates = self.generator.conv2d_candidates(problem, DType::F16);
-        let best = parallel_min_time(&self.arch, &candidates, |arch, config| {
+        let best = min_time(&self.arch, &candidates, |arch, config| {
             perf::conv2d_profile(arch, problem, config, &ep, DType::F16, None)
         });
         self.conv_cache.lock().insert(key, best);
@@ -101,40 +101,17 @@ impl VendorLibrary {
     }
 }
 
-/// Prices every candidate in parallel (crossbeam scoped threads) and
-/// returns the best time. The vendor's offline search sweeps the entire
-/// template space, so this is the one profiling path where fan-out pays.
-fn parallel_min_time<F>(arch: &GpuArch, candidates: &[crate::GemmConfig], build: F) -> f64
+/// Prices every candidate on the simulator and returns the best time.
+/// Each price is one analytic simulator call, so the sweep runs on the
+/// calling thread.
+fn min_time<F>(arch: &GpuArch, candidates: &[crate::GemmConfig], build: F) -> f64
 where
-    F: Fn(&GpuArch, &crate::GemmConfig) -> bolt_gpu_sim::KernelProfile + Sync,
+    F: Fn(&GpuArch, &crate::GemmConfig) -> bolt_gpu_sim::KernelProfile,
 {
-    if candidates.len() < 32 {
-        return candidates
-            .iter()
-            .map(|c| bolt_gpu_sim::simulate_kernel(arch, &build(arch, c)).total_us)
-            .fold(f64::INFINITY, f64::min);
-    }
-    let threads = crate::host_parallelism().min(8);
-    let chunk = candidates.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|chunk| {
-                let build = &build;
-                scope.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .map(|c| bolt_gpu_sim::simulate_kernel(arch, &build(arch, c)).total_us)
-                        .fold(f64::INFINITY, f64::min)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("candidate pricing never panics"))
-            .fold(f64::INFINITY, f64::min)
-    })
-    .expect("scoped threads join")
+    candidates
+        .iter()
+        .map(|c| bolt_gpu_sim::simulate_kernel(arch, &build(arch, c)).total_us)
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

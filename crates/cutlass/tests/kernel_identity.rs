@@ -2,8 +2,8 @@
 //! must reproduce `GemmKernel::run` bit for bit for every epilogue (bias
 //! mode × activation × output dtype), for both values of each provenance
 //! flag wherever the operand really holds element-dtype values, and for
-//! ragged tiles, single-row problems, split-K and the data-parallel
-//! stripe walk.
+//! ragged tiles, single-row problems, split-K and problems spanning
+//! several threadblock M-stripes.
 //!
 //! The live-row argument is checked for the GEMM, the back-to-back GEMM
 //! and the persistent chain: computing only rows `0..rows` must give
@@ -11,7 +11,7 @@
 
 use bolt_cutlass::{
     B2bGemmKernel, BiasMode, Epilogue, GemmConfig, GemmKernel, GemmProblem, PersistentGemmChain,
-    Residence, TileShape, PARALLEL_M_ROWS,
+    Residence, TileShape,
 };
 use bolt_tensor::{Activation, DType, Tensor};
 use proptest::prelude::*;
@@ -60,7 +60,6 @@ proptest! {
         k in 1usize..40,
         (tm, tn, tk) in prop::sample::select(vec![(16usize, 16usize, 8usize), (8, 32, 16), (32, 8, 8)]),
         split_k in prop_oneof![Just(1usize), 2usize..5],
-        parallel_m_rows in prop::sample::select(vec![1usize, PARALLEL_M_ROWS]),
         a_dtype in prop::sample::select(vec![DType::F16, DType::F32]),
         b_dtype in prop::sample::select(vec![DType::F16, DType::F32]),
         (alpha, beta) in (0.25f32..2.0, 0.25f32..2.0),
@@ -92,8 +91,7 @@ proptest! {
                         out_dtype,
                         column_reduction: false,
                     };
-                    let kernel = GemmKernel::new(GemmProblem::fp16(m, n, k), config, epilogue)
-                        .with_parallel_m_rows(parallel_m_rows);
+                    let kernel = GemmKernel::new(GemmProblem::fp16(m, n, k), config, epilogue);
                     let (want, _) = kernel.run(&a, &b, c).expect("oracle runs");
                     let rows = live_pct * m / 100;
                     for &aq in flags(a_dtype) {
@@ -125,7 +123,6 @@ proptest! {
         (n0, n1, k) in (1usize..48, 1usize..48, 1usize..48),
         live_pct in 0usize..101,
         residence in prop::sample::select(vec![Residence::RegisterFile, Residence::SharedMemory]),
-        parallel_m_rows in prop::sample::select(vec![1usize, PARALLEL_M_ROWS]),
         seed in 0u64..1000,
     ) {
         let kernel = B2bGemmKernel::with_residence(
@@ -134,8 +131,7 @@ proptest! {
             Epilogue::bias_activation(Activation::Gelu, DType::F16),
             Epilogue::bias_activation(Activation::Identity, DType::F16),
             residence,
-        )
-        .with_parallel_m_rows(parallel_m_rows);
+        );
         let a = Tensor::randn(&[m, k], DType::F16, seed);
         let w0 = Tensor::randn(&[k, n0], DType::F16, seed + 1);
         let c0 = Tensor::randn(&[n0], DType::F16, seed + 2);
@@ -161,7 +157,6 @@ proptest! {
         m in 1usize..100,
         widths in prop::collection::vec(1usize..40, 3..5),
         live_pct in 0usize..101,
-        parallel_m_rows in prop::sample::select(vec![1usize, PARALLEL_M_ROWS]),
         seed in 0u64..1000,
     ) {
         let problems: Vec<GemmProblem> = widths
@@ -173,8 +168,7 @@ proptest! {
             .map(|_| Epilogue::bias_activation(Activation::ReLU, DType::F16))
             .collect();
         let chain = PersistentGemmChain::with_residence(&problems, &epilogues, Residence::SharedMemory)
-            .expect("chain builds")
-            .with_parallel_m_rows(parallel_m_rows);
+            .expect("chain builds");
         let a = Tensor::randn(&[m, widths[0]], DType::F16, seed);
         let weights: Vec<Tensor> = problems
             .iter()

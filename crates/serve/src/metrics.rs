@@ -212,14 +212,27 @@ impl Metrics {
         inner.recent_latencies_us.push_back(latency_us);
     }
 
-    /// Folds one batch's per-step timings (from the plan's
-    /// [`bolt::StepObserver`] hook) into the per-kernel totals.
-    pub(crate) fn kernel_times(&self, timings: &StepTimings) {
-        let mut inner = self.inner.lock();
+    /// Folds one launch's per-step timings (from the plan's
+    /// [`bolt::StepObserver`] hook) into the per-kernel totals, with each
+    /// step's compute scaled by the launch's occupancy (`rows` live of
+    /// `capacity`, all of it when `capacity` is 0) and its launch
+    /// overhead kept whole: a partial launch still launches every
+    /// kernel, but its zero-padded rows are not real work.
+    pub(crate) fn kernel_times(&self, timings: &StepTimings, rows: usize, capacity: usize) {
+        let frac = if capacity == 0 {
+            1.0
+        } else {
+            (rows.min(capacity) as f64) / capacity as f64
+        };
+        let kernel_us = &mut self.inner.lock().kernel_us;
         for step in &timings.steps {
-            let entry = inner.kernel_us.entry(step.name.clone()).or_insert((0, 0.0));
-            entry.0 += 1;
-            entry.1 += step.total_us;
+            let us = step.launch_us + (step.total_us - step.launch_us) * frac;
+            if let Some((launches, total_us)) = kernel_us.get_mut(&step.name) {
+                *launches += 1;
+                *total_us += us;
+            } else {
+                kernel_us.insert(step.name.clone(), (1, us));
+            }
         }
     }
 
@@ -659,8 +672,8 @@ mod tests {
                 },
             ],
         };
-        m.kernel_times(&timings);
-        m.kernel_times(&timings);
+        m.kernel_times(&timings, 4, 4);
+        m.kernel_times(&timings, 4, 4);
         let s = m.snapshot(1e6, vec![], None);
         assert_eq!(s.kernel_stats.len(), 2);
         // Descending by total time.
@@ -668,6 +681,33 @@ mod tests {
         assert_eq!(s.kernel_stats[0].launches, 2);
         assert!((s.kernel_stats[0].total_us - 60.0).abs() < 1e-9);
         assert!((s.kernel_stats[0].mean_us - 30.0).abs() < 1e-9);
+
+        // A partial launch (3 live rows of 7) keeps each step's launch
+        // overhead whole and scales its compute by occupancy, evaluated
+        // as `launch + (total - launch) * (rows / capacity)`: bit for bit
+        // on its own, and added after the two full launches.
+        let partial = Metrics::default();
+        partial.kernel_times(&timings, 3, 7);
+        m.kernel_times(&timings, 3, 7);
+        let (one, all) = (
+            partial.snapshot(1e6, vec![], None),
+            m.snapshot(1e6, vec![], None),
+        );
+        for step in &timings.steps {
+            let scaled = step.launch_us + (step.total_us - step.launch_us) * (3.0 / 7.0);
+            let find = |s: &MetricsSnapshot| {
+                let stat = s.kernel_stats.iter().find(|k| k.name == step.name);
+                let stat = stat.expect("step attributed");
+                (stat.launches, stat.total_us.to_bits())
+            };
+            assert_eq!(find(&one), (1, scaled.to_bits()), "{}", step.name);
+            assert_eq!(
+                find(&all),
+                (3, (step.total_us + step.total_us + scaled).to_bits()),
+                "{}",
+                step.name
+            );
+        }
     }
 
     proptest! {

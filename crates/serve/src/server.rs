@@ -526,15 +526,20 @@ fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
             .launch_flops(plan_flops * rows as f64 / bucket as f64, plan_flops);
         inner
             .metrics
-            .kernel_times(&placed.engine.step_timings().scaled_occupancy(rows, bucket));
+            .kernel_times(placed.engine.step_timings(), rows, bucket);
     }
 
     // Really compute the batch when the model allows it, bucket-sized
-    // chunks per launch.
+    // chunks per launch. The inputs move into the batch: every path
+    // after the launch only resolves the requests' slots.
     let mut failure: Option<String> = None;
     let mut outputs: Option<Vec<Vec<Tensor>>> = None;
     if inner.config.functional && job.model.functional() {
-        let samples: Vec<Vec<Tensor>> = job.requests.iter().map(|r| r.inputs.clone()).collect();
+        let samples: Vec<Vec<Tensor>> = job
+            .requests
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.inputs))
+            .collect();
         let mut per_sample = Vec::with_capacity(batch);
         for chunk in samples.chunks(placed.bucket.max(1)) {
             match placed.engine.run_batched(chunk) {

@@ -60,18 +60,18 @@ fn compile_cold(model: &'static str, batch: usize) -> Golden {
 /// meant to move them recaptures the rows the test prints and says why.
 #[rustfmt::skip]
 const EXPECTED: &[Golden] = &[
-    Golden { model: "vgg-16", batch: 32, workloads: 12, measurements: 29, pruned: 331, tuning_seconds_bits: 0x406359999999999a, kernels: 16, total_us_bits: 0x40e12fa0965e8016, steps_fnv1a: 0xdfd21becc28ebf21 },
-    Golden { model: "vgg-16", batch: 29, workloads: 12, measurements: 27, pruned: 333, tuning_seconds_bits: 0x40630ccccccccccd, kernels: 16, total_us_bits: 0x40df69ec5e293e08, steps_fnv1a: 0x6a14a1c9ade9a1e2 },
-    Golden { model: "vgg-19", batch: 32, workloads: 12, measurements: 29, pruned: 331, tuning_seconds_bits: 0x406359999999999a, kernels: 19, total_us_bits: 0x40e520baf7308d7f, steps_fnv1a: 0x52014a9b6e7f7686 },
-    Golden { model: "vgg-19", batch: 29, workloads: 12, measurements: 27, pruned: 333, tuning_seconds_bits: 0x40630ccccccccccd, kernels: 19, total_us_bits: 0x40e34cbf246d1392, steps_fnv1a: 0x3cf1ba8ace47bad1 },
-    Golden { model: "resnet-18", batch: 32, workloads: 16, measurements: 85, pruned: 395, tuning_seconds_bits: 0x406bc00000000000, kernels: 21, total_us_bits: 0x40b9742234601bf9, steps_fnv1a: 0x3744514dfdaa3aee },
-    Golden { model: "resnet-18", batch: 29, workloads: 16, measurements: 69, pruned: 411, tuning_seconds_bits: 0x406959999999999a, kernels: 21, total_us_bits: 0x40b83d36cea8d57b, steps_fnv1a: 0x271562853539dc91 },
-    Golden { model: "resnet-50", batch: 32, workloads: 24, measurements: 99, pruned: 621, tuning_seconds_bits: 0x406dd9999999999a, kernels: 54, total_us_bits: 0x40d03ff3c873b05d, steps_fnv1a: 0x27d143cb8d743c0f },
-    Golden { model: "resnet-50", batch: 29, workloads: 24, measurements: 93, pruned: 627, tuning_seconds_bits: 0x406cf33333333333, kernels: 54, total_us_bits: 0x40cead1b67cfdd4b, steps_fnv1a: 0xf066c9d0f6111bea },
-    Golden { model: "repvgg-a0", batch: 32, workloads: 9, measurements: 39, pruned: 231, tuning_seconds_bits: 0x4064d9999999999a, kernels: 23, total_us_bits: 0x40af8fa5af150bb4, steps_fnv1a: 0x2918e680e128e63e },
-    Golden { model: "repvgg-a0", batch: 29, workloads: 9, measurements: 41, pruned: 229, tuning_seconds_bits: 0x4065266666666666, kernels: 23, total_us_bits: 0x40ae2d48c8f97287, steps_fnv1a: 0x4a6489836d38462f },
-    Golden { model: "repvgg-b0", batch: 32, workloads: 9, measurements: 47, pruned: 223, tuning_seconds_bits: 0x40660ccccccccccd, kernels: 29, total_us_bits: 0x40bf3e511ec7e85a, steps_fnv1a: 0xfc8af68fd576eb1f },
-    Golden { model: "repvgg-b0", batch: 29, workloads: 9, measurements: 41, pruned: 229, tuning_seconds_bits: 0x4065266666666666, kernels: 29, total_us_bits: 0x40be2a596472de28, steps_fnv1a: 0x5b7dad45f1acbd6a },
+    Golden { model: "vgg-16", batch: 32, workloads: 12, measurements: 29, pruned: 331, tuning_seconds_bits: 0x406359999999999a, kernels: 16, total_us_bits: 0x40e12fa0965e8016, steps_fnv1a: 0x4123f18fd1e89b51 },
+    Golden { model: "vgg-16", batch: 29, workloads: 12, measurements: 27, pruned: 333, tuning_seconds_bits: 0x40630ccccccccccd, kernels: 16, total_us_bits: 0x40df69ec5e293e08, steps_fnv1a: 0x1c24eb3eaed03cde },
+    Golden { model: "vgg-19", batch: 32, workloads: 12, measurements: 29, pruned: 331, tuning_seconds_bits: 0x406359999999999a, kernels: 19, total_us_bits: 0x40e520baf7308d7f, steps_fnv1a: 0x84bbb180824f1312 },
+    Golden { model: "vgg-19", batch: 29, workloads: 12, measurements: 27, pruned: 333, tuning_seconds_bits: 0x40630ccccccccccd, kernels: 19, total_us_bits: 0x40e34cbf246d1392, steps_fnv1a: 0x7ccc9e2c127e9df9 },
+    Golden { model: "resnet-18", batch: 32, workloads: 16, measurements: 85, pruned: 395, tuning_seconds_bits: 0x406bc00000000000, kernels: 21, total_us_bits: 0x40b9742234601bf9, steps_fnv1a: 0x5a7026a75040056a },
+    Golden { model: "resnet-18", batch: 29, workloads: 16, measurements: 69, pruned: 411, tuning_seconds_bits: 0x406959999999999a, kernels: 21, total_us_bits: 0x40b83d36cea8d57b, steps_fnv1a: 0x45d7f27531a0e1f1 },
+    Golden { model: "resnet-50", batch: 32, workloads: 24, measurements: 99, pruned: 621, tuning_seconds_bits: 0x406dd9999999999a, kernels: 54, total_us_bits: 0x40d03ff3c873b05d, steps_fnv1a: 0xdda085bd2b60636f },
+    Golden { model: "resnet-50", batch: 29, workloads: 24, measurements: 93, pruned: 627, tuning_seconds_bits: 0x406cf33333333333, kernels: 54, total_us_bits: 0x40cead1b67cfdd4b, steps_fnv1a: 0x9e8e32099c4d088e },
+    Golden { model: "repvgg-a0", batch: 32, workloads: 9, measurements: 39, pruned: 231, tuning_seconds_bits: 0x4064d9999999999a, kernels: 23, total_us_bits: 0x40af8fa5af150bb4, steps_fnv1a: 0xfdacf35b181c0bd6 },
+    Golden { model: "repvgg-a0", batch: 29, workloads: 9, measurements: 41, pruned: 229, tuning_seconds_bits: 0x4065266666666666, kernels: 23, total_us_bits: 0x40ae2d48c8f97287, steps_fnv1a: 0xbd933030f582d54b },
+    Golden { model: "repvgg-b0", batch: 32, workloads: 9, measurements: 47, pruned: 223, tuning_seconds_bits: 0x40660ccccccccccd, kernels: 29, total_us_bits: 0x40bf3e511ec7e85a, steps_fnv1a: 0x1a8a841bea9c9673 },
+    Golden { model: "repvgg-b0", batch: 29, workloads: 9, measurements: 41, pruned: 229, tuning_seconds_bits: 0x4065266666666666, kernels: 29, total_us_bits: 0x40be2a596472de28, steps_fnv1a: 0x949cd20131d3b9aa },
 ];
 
 #[test]
