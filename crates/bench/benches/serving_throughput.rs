@@ -18,7 +18,10 @@
 //! `target/experiments/serving_throughput.json` and `BENCH_serve.json`
 //! at the workspace root.
 //!
-//! Run with: `cargo bench --bench serving_throughput`
+//! Run with: `cargo bench --bench serving_throughput`. With `-- --check`
+//! the run also exits non-zero when the slot executor is slower than the
+//! reference interpreter (speedup below 1.0) on any model, after the
+//! JSON is written.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -195,6 +198,7 @@ fn batched_comparison(registry: &Arc<EngineRegistry>) -> Vec<BatchedRow> {
 }
 
 fn main() {
+    let check = std::env::args().any(|arg| arg == "--check");
     let registry = Arc::new(EngineRegistry::new(
         GpuArch::tesla_t4(),
         BoltConfig::default(),
@@ -360,4 +364,22 @@ fn main() {
     }
     // Headline serving result at the workspace root for CI.
     write_bench_json("BENCH_serve.json", &json);
+
+    if check {
+        let mut regressed = false;
+        for row in &executor {
+            let speedup = row.reference_us / row.slot_us;
+            let flag = if speedup < 1.0 {
+                "  <-- REGRESSION"
+            } else {
+                ""
+            };
+            println!("{}: {speedup:.3}x{flag}", row.model);
+            regressed |= speedup < 1.0;
+        }
+        if regressed {
+            eprintln!("executor speedup fell below 1.0");
+            std::process::exit(1);
+        }
+    }
 }

@@ -1460,8 +1460,10 @@ impl ExecutionPlan {
             }
             StepKind::GemmChain { chain, .. } => {
                 let a = self.value(frame, step.inputs[0])?;
+                let last = chain.stages.last().ok_or_else(|| BoltError::BadInput {
+                    reason: "GEMM chain step with no stages".to_string(),
+                })?;
                 if Self::row_major_2d(a) {
-                    let last = chain.stages.last().expect("chain has stages");
                     let (m, n) = (last.problem.m, last.problem.n);
                     let w_slices: Vec<&[f32]> = packed.weights.iter().map(|w| w.data()).collect();
                     let b_refs: Vec<Option<&Tensor>> =

@@ -217,18 +217,15 @@ impl PersistentGemmChain {
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched operands.
+    /// Returns shape errors for mismatched operands, and
+    /// [`KernelError::UnsupportedProblem`] for a chain with no stages.
     pub fn run(
         &self,
         a: &Tensor,
         weights: &[&Tensor],
         biases: &[Option<&Tensor>],
     ) -> Result<Tensor> {
-        if weights.len() != self.stages.len() || biases.len() != self.stages.len() {
-            return Err(KernelError::unsupported(
-                "one weight/bias per stage required",
-            ));
-        }
+        self.check_operands(weights.len(), biases.len())?;
         let mut cur = a.clone();
         for ((stage, w), b) in self.stages.iter().zip(weights).zip(biases) {
             let kernel = GemmKernel {
@@ -262,7 +259,8 @@ impl PersistentGemmChain {
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched operands or `rows > m`.
+    /// Returns shape errors for mismatched operands or `rows > m`, and
+    /// [`KernelError::UnsupportedProblem`] for a chain with no stages.
     #[allow(clippy::too_many_arguments)]
     pub fn run_into(
         &self,
@@ -277,11 +275,7 @@ impl PersistentGemmChain {
         a_quantized: bool,
         weights_quantized: bool,
     ) -> Result<()> {
-        if weights.len() != self.stages.len() || biases.len() != self.stages.len() {
-            return Err(KernelError::unsupported(
-                "one weight/bias per stage required",
-            ));
-        }
+        self.check_operands(weights.len(), biases.len())?;
         let last = self.stages.len() - 1;
         for (i, ((stage, w), b)) in self.stages.iter().zip(weights).zip(biases).enumerate() {
             let kernel = GemmKernel {
@@ -314,6 +308,21 @@ impl PersistentGemmChain {
                 ping.resize(numel, 0.0);
                 kernel.run_into(pong, w, *b, acc, ping, rows, aq, weights_quantized)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Checks that the chain has stages (`stages` is public, so an empty
+    /// chain can be built without [`PersistentGemmChain::with_residence`])
+    /// and one weight and one bias per stage.
+    fn check_operands(&self, weights: usize, biases: usize) -> Result<()> {
+        if self.stages.is_empty() {
+            return Err(KernelError::unsupported("a chain needs at least one GEMM"));
+        }
+        if weights != self.stages.len() || biases != self.stages.len() {
+            return Err(KernelError::unsupported(
+                "one weight/bias per stage required",
+            ));
         }
         Ok(())
     }
@@ -504,6 +513,37 @@ mod tests {
             PersistentGemmChain::with_residence(&bad[..1], &eps[..1], Residence::RegisterFile)
                 .is_err()
         );
+    }
+
+    #[test]
+    fn empty_chain_is_an_error_not_a_panic() {
+        let chain = PersistentGemmChain {
+            stages: vec![],
+            residence: Residence::SharedMemory,
+        };
+        let a = Tensor::randn(&[4, 8], DType::F16, 1);
+        assert!(matches!(
+            chain.run(&a, &[], &[]),
+            Err(KernelError::UnsupportedProblem { .. })
+        ));
+        let mut out = vec![0.0f32; 32];
+        let (mut acc, mut ping, mut pong) = (Vec::new(), Vec::new(), Vec::new());
+        let result = chain.run_into(
+            a.data(),
+            &[],
+            &[],
+            &mut acc,
+            &mut ping,
+            &mut pong,
+            &mut out,
+            4,
+            true,
+            true,
+        );
+        assert!(matches!(
+            result,
+            Err(KernelError::UnsupportedProblem { .. })
+        ));
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! with operands rounded through the storage dtype on load and f32
 //! accumulation (the tensor-core contract). Results are validated against
 //! `bolt_tensor::gemm_ref` in this module's tests and by property tests.
+//!
+//! `run` keeps that tile walk as the oracle, and as the fallback for
+//! operands that are not row-major. The executor's allocation-free
+//! [`GemmKernel::run_into`] produces the same bits with a register-blocked
+//! micro-kernel instead.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -115,6 +120,47 @@ fn holds_exactly(values: &[f32], dtype: DType) -> bool {
     values
         .iter()
         .all(|&v| dtype.quantize(v).to_bits() == v.to_bits())
+}
+
+/// Rows of one register block in [`GemmKernel::run_into`]'s main loop.
+const MR: usize = 4;
+/// Columns of one register block: one panel of `B` and of the output.
+const NR: usize = 8;
+
+/// One `R × W` output block of [`GemmKernel::run_into`]'s main loop:
+/// the first `R` rows of `a` (row stride `k`) times the `k × W` panel
+/// that starts each `b_ld`-strided row of `b`, summed over all of K with
+/// k ascending from 0.0 (the operation sequence of every element in
+/// [`GemmKernel::run`]), then stored at the start of the first `R`
+/// `ld`-strided rows of `tile`.
+///
+/// Kept out of line: inlined into the panel loop, the block array's
+/// vectorized lanes got shuffled and one accumulator spilled to the
+/// stack on every k, and the loop ran no faster than the tile walk it
+/// replaces.
+#[inline(never)]
+fn block<const R: usize, const W: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    b_ld: usize,
+    tile: &mut [f32],
+    ld: usize,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|i| &a[i * k..][..k]);
+    let mut sums = [[0.0f32; W]; R];
+    for kc in 0..k {
+        let b_row = &b[kc * b_ld..][..W];
+        for i in 0..R {
+            let a_val = a_rows[i][kc];
+            for j in 0..W {
+                sums[i][j] += a_val * b_row[j];
+            }
+        }
+    }
+    for (i, sum) in sums.iter().enumerate() {
+        tile[i * ld..][..W].copy_from_slice(sum);
+    }
 }
 
 /// A fully instantiated templated GEMM kernel: problem + config +
@@ -260,14 +306,35 @@ impl GemmKernel {
     /// buffer: `a` is the row-major `(m, k)` operand, `b` the row-major
     /// `(k, n)` operand, and `out` receives row-major `(m, n)` values
     /// quantized to the epilogue's output dtype — bit-identical to
-    /// [`GemmKernel::run`]'s result. `acc` is the reusable accumulator
-    /// scratch (resized, never reallocated once warm). The column
-    /// reduction, if the epilogue requests one, is not computed here; use
-    /// [`GemmKernel::run`] when it is needed.
+    /// [`GemmKernel::run`]'s result. The column reduction, if the epilogue
+    /// requests one, is not computed here; use [`GemmKernel::run`] when it
+    /// is needed.
+    ///
+    /// The main loop is a register-blocked micro-kernel, not `run`'s tile
+    /// walk. Eight-column panels of `B` are walked outermost and 4-row
+    /// blocks of `A` inside them; each 4×8 output block is summed over
+    /// all of K in registers (one or two live rows take 1×32 or 2×16
+    /// blocks instead), then `Epilogue::store_row` runs once per output
+    /// row. In `run`, every output element accumulates
+    /// `a[r][k] * b[k][c]` with k rising from 0.0, and split-K slices add
+    /// into the same accumulator in slice order. The threadblock shape,
+    /// the split-K factor and the k-tile size therefore change only the
+    /// loop nesting, never an element's operation sequence, so this loop
+    /// gives the same bits. The simulator prices the configured tiling;
+    /// the host only reproduces the bits, on the calling thread.
+    ///
+    /// A ragged last panel (`n % 8` columns) is `B`'s last 8 columns,
+    /// read in place: it overlaps the panel before it and recomputes
+    /// those columns bit for bit. `acc` is reusable scratch, sized from
+    /// the full `m`: the accumulator tile (`m × max(n, 8)`), `B` staged
+    /// zero-padded to 8 columns when it is narrower, and a rounded copy
+    /// of each operand not flagged pre-quantized. It is only grown, never
+    /// cleared, so a warm caller never reallocates it, whatever its
+    /// live-row count.
     ///
     /// `rows` (at most `problem.m`) is how many leading rows are live.
     /// Operands are validated at the full `m`, rows `0..rows` are
-    /// computed with the same tile walk and k-order as the full problem
+    /// computed with the same per-element k-order as the full problem
     /// (every output row depends only on its own `A` row), and rows
     /// `rows..m` are zero-filled. A batch executor passes its live
     /// sample rows so a partly filled bucket skips its padding; pass
@@ -279,12 +346,9 @@ impl GemmKernel {
     /// `Tensor` whose dtype equals `problem.element`, since tensor stores
     /// quantize, and for a kernel output whose epilogue dtype equals it.
     /// Rounding is idempotent, so the main loop then reads the operand in
-    /// place with no staging copy, and the result stays bit-identical;
-    /// pass `false` whenever an operand's provenance is not known, and it
-    /// is staged through rounding once per k-tile.
-    ///
-    /// The tile walk runs on the calling thread: the GPU's threadblock
-    /// parallelism is priced by the simulator, not replayed on the host.
+    /// place, and the result stays bit-identical; pass `false` whenever an
+    /// operand's provenance is not known, and it is rounded through the
+    /// element dtype once per call into `acc`.
     ///
     /// # Errors
     ///
@@ -345,86 +409,107 @@ impl GemmKernel {
 
         let (live, pad) = out.split_at_mut(rows * p.n);
         pad.fill(0.0);
+        let (n, k) = (p.n, p.k);
+        if rows == 0 || n == 0 {
+            return Ok(());
+        }
 
-        // Tile walk, k-order, and rounding are identical to `run`: an
-        // operand of unknown provenance is rounded through the element
-        // dtype on its global->smem stage, exactly once per k-tile; a
-        // pre-quantized one is read in place. The MAC loop then multiplies
-        // the same numbers `run` rounds per multiply, in the same order.
-        // The last threadblock row stops at `rows`.
-        let tb = self.config.threadblock;
+        // A ragged last panel is B's last `NR` columns, read in place: it
+        // overlaps the panel before it and recomputes those columns bit
+        // for bit. Only a `B` narrower than one panel is staged,
+        // zero-padded to `NR` wide, and only then is the tile padded.
+        let full = n - n % NR;
+        let ld = n.max(NR);
+        let staged = if n < NR { k * NR } else { 0 };
+        // Scratch layout: tile, staged panel, rounded A, rounded B. Every
+        // part is written before it is read, so nothing is cleared.
+        let a_len = if a_quantized { 0 } else { p.m * k };
+        let b_len = if b_quantized { 0 } else { k * n };
+        let need = p.m * ld + staged + a_len + b_len;
+        if acc.len() < need {
+            acc.resize(need, 0.0);
+        }
+        let (tile, rest) = acc.split_at_mut(p.m * ld);
+        let (panel, rest) = rest.split_at_mut(staged);
+        let (a_round, rest) = rest.split_at_mut(a_len);
         let elt = p.element;
-        let grid_m = rows.div_ceil(tb.m);
-        let grid_n = p.n.div_ceil(tb.n);
-        let split_k = self.config.split_k.max(1);
-        let slice_len = p.k.div_ceil(split_k);
-        // Shared-memory fragments for operands that still need rounding;
-        // grown lazily, so they stay empty when both are pre-quantized.
-        let mut a_smem: Vec<f32> = Vec::new();
-        let mut b_smem: Vec<f32> = Vec::new();
-
-        for bm in 0..grid_m {
-            for bn in 0..grid_n {
-                let row0 = bm * tb.m;
-                let col0 = bn * tb.n;
-                let rows = tb.m.min(rows - row0);
-                let cols = tb.n.min(p.n - col0);
-                acc.clear();
-                acc.resize(rows * cols, 0.0);
-
-                for slice in 0..split_k {
-                    let slice_start = slice * slice_len;
-                    if slice_start >= p.k {
-                        break;
-                    }
-                    let slice_end = (slice_start + slice_len).min(p.k);
-                    let k_tiles = (slice_end - slice_start).div_ceil(tb.k);
-                    for bk in 0..k_tiles {
-                        let k0 = slice_start + bk * tb.k;
-                        let kk = tb.k.min(slice_end - k0);
-                        // Each fragment is (data, leading dimension,
-                        // offset of the tile's first element).
-                        let (a_frag, a_ld, a_off) = if a_quantized {
-                            (a, p.k, row0 * p.k + k0)
-                        } else {
-                            a_smem.resize(rows * kk, 0.0);
-                            for r in 0..rows {
-                                let src = &a[(row0 + r) * p.k + k0..][..kk];
-                                for (s, &v) in a_smem[r * kk..][..kk].iter_mut().zip(src) {
-                                    *s = elt.quantize(v);
-                                }
-                            }
-                            (&a_smem[..], kk, 0)
-                        };
-                        let (b_frag, b_ld, b_off) = if b_quantized {
-                            (b, p.n, k0 * p.n + col0)
-                        } else {
-                            b_smem.resize(kk * cols, 0.0);
-                            for kc in 0..kk {
-                                let src = &b[(k0 + kc) * p.n + col0..][..cols];
-                                for (s, &v) in b_smem[kc * cols..][..cols].iter_mut().zip(src) {
-                                    *s = elt.quantize(v);
-                                }
-                            }
-                            (&b_smem[..], cols, 0)
-                        };
-                        for (r, acc_row) in acc.chunks_exact_mut(cols).enumerate() {
-                            let a_row = &a_frag[a_off + r * a_ld..][..kk];
-                            for (kc, &a_val) in a_row.iter().enumerate() {
-                                let b_row = &b_frag[b_off + kc * b_ld..][..cols];
-                                for (d, &b_val) in acc_row.iter_mut().zip(b_row) {
-                                    *d += a_val * b_val;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                for (r, acc_row) in acc.chunks_exact(cols).enumerate() {
-                    let out_row = &mut live[(row0 + r) * p.n + col0..][..cols];
-                    self.epilogue.store_row(acc_row, row0 + r, col0, c, out_row);
+        let a: &[f32] = if a_quantized {
+            a
+        } else {
+            for (r, &v) in a_round.iter_mut().zip(&a[..rows * k]) {
+                *r = elt.quantize(v);
+            }
+            a_round
+        };
+        let b: &[f32] = if b_quantized {
+            b
+        } else {
+            let b_round = &mut rest[..b_len];
+            for (r, &v) in b_round.iter_mut().zip(b) {
+                *r = elt.quantize(v);
+            }
+            b_round
+        };
+        let (b, b_ld): (&[f32], usize) = if n < NR {
+            // Column by column: a runtime-length copy per k row cost more
+            // than the block it feeds at one live row.
+            panel.fill(0.0);
+            for j in 0..n {
+                let column = b[j..].iter().step_by(n);
+                for (d, &v) in panel[j..].iter_mut().step_by(NR).zip(column) {
+                    *d = v;
                 }
             }
+            (panel, NR)
+        } else {
+            (b, n)
+        };
+
+        // One or two live rows share no panel between row blocks, and an
+        // `R × NR` block keeps only `2R` accumulator vectors in flight, so
+        // their add chains would stall on latency. They widen the block
+        // over B's in-place columns instead, to the eight vectors of a
+        // full `MR × NR` block.
+        let mut col0 = 0;
+        match rows {
+            1 => {
+                while col0 + 4 * NR <= full {
+                    block::<1, { 4 * NR }>(a, k, &b[col0..], b_ld, &mut tile[col0..], ld);
+                    col0 += 4 * NR;
+                }
+            }
+            2 => {
+                while col0 + 2 * NR <= full {
+                    block::<2, { 2 * NR }>(a, k, &b[col0..], b_ld, &mut tile[col0..], ld);
+                    col0 += 2 * NR;
+                }
+            }
+            _ => {}
+        }
+        // Panels outermost, so one `k × NR` panel of `B` stays in L1 while
+        // every row block reads it.
+        let ragged = (full < n).then(|| ld - NR);
+        for col0 in (col0..full).step_by(NR).chain(ragged) {
+            let mut row0 = 0;
+            while row0 < rows {
+                let (a_blk, b_blk) = (&a[row0 * k..], &b[col0..]);
+                let t_blk = &mut tile[row0 * ld + col0..];
+                match rows - row0 {
+                    1 => block::<1, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
+                    2 => block::<2, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
+                    3 => block::<3, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
+                    _ => block::<MR, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
+                }
+                row0 += MR;
+            }
+        }
+
+        for (r, (acc_row, out_row)) in tile
+            .chunks_exact(ld)
+            .zip(live.chunks_exact_mut(n))
+            .enumerate()
+        {
+            self.epilogue.store_row(&acc_row[..n], r, 0, c, out_row);
         }
         Ok(())
     }

@@ -1,18 +1,26 @@
 //! Bit identity of the allocation-free GEMM path: `GemmKernel::run_into`
-//! must reproduce `GemmKernel::run` bit for bit for every epilogue (bias
-//! mode × activation × output dtype), for both values of each provenance
-//! flag wherever the operand really holds element-dtype values, and for
-//! ragged tiles, single-row problems, split-K and problems spanning
-//! several threadblock M-stripes.
+//! (a register-blocked loop) must reproduce `GemmKernel::run` (the tile
+//! walk) bit for bit for every epilogue (bias mode × activation × output
+//! dtype), for both values of each provenance flag wherever the operand
+//! really holds element-dtype values, and for ragged 8-column panels and
+//! 4-row blocks, single-row problems, split-K and accumulator scratch
+//! that starts out NaN-filled.
 //!
 //! The live-row argument is checked for the GEMM, the back-to-back GEMM
 //! and the persistent chain: computing only rows `0..rows` must give
 //! exactly the full-M result's leading rows and zeros after them.
+//!
+//! The implicit-GEMM convs (`Conv2dKernel` and `B2bConvKernel`) must give
+//! `run_into`, which folds the channel pad into im2col, the bits of `run`
+//! on the channel-padded input, with scratch reused across cases.
+
+use std::cell::RefCell;
 
 use bolt_cutlass::{
-    B2bGemmKernel, BiasMode, Epilogue, GemmConfig, GemmKernel, GemmProblem, PersistentGemmChain,
-    Residence, TileShape,
+    B2bConvKernel, B2bGemmKernel, BiasMode, Conv2dConfig, Conv2dKernel, Epilogue, GemmConfig,
+    GemmKernel, GemmProblem, PersistentGemmChain, Residence, TileShape,
 };
+use bolt_tensor::conv_ref::{filter_as_matrix, random_filter, Conv2dProblem};
 use bolt_tensor::{Activation, DType, Tensor};
 use proptest::prelude::*;
 
@@ -50,6 +58,27 @@ fn live_bits(full: &[f32], rows: usize, n: usize) -> Vec<u32> {
     bits(&want)
 }
 
+thread_local! {
+    /// The `cols`, `acc` and `d0` scratch every conv case reuses, so each
+    /// case runs on what the previous one left behind; NaN-filled at first.
+    static CONV_SCRATCH: RefCell<[Vec<f32>; 3]> = RefCell::new([
+        vec![f32::NAN; 1 << 14],
+        vec![f32::NAN; 1 << 15],
+        vec![f32::NAN; 1 << 12],
+    ]);
+}
+
+/// The `(n, h, w, c)` NHWC tensor holding `raw`'s `in_c`-channel NHWC
+/// values in its first `in_c` channels and zeros in the rest.
+fn channel_padded(raw: &[f32], p: &Conv2dProblem, in_c: usize, dtype: DType) -> Tensor {
+    let mut x = Tensor::zeros_nhwc(p.n, p.c, p.h, p.w, dtype);
+    for (i, &v) in raw.iter().enumerate() {
+        let (pixel, ch) = (i / in_c, i % in_c);
+        x.set4(pixel / (p.h * p.w), ch, pixel / p.w % p.h, pixel % p.w, v);
+    }
+    x
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -73,7 +102,9 @@ proptest! {
         let b = Tensor::randn(&[k, n], b_dtype, seed + 1);
         let bias_row = Tensor::randn(&[n], DType::F16, seed + 2);
         let residual = Tensor::randn(&[m, n], DType::F16, seed + 3);
-        let mut acc = Vec::new();
+        // Larger than any case needs, so `run_into` never regrows it and
+        // must write every accumulator it reads.
+        let mut acc = vec![f32::NAN; 1 << 14];
         let mut got = vec![0.0f32; m * n];
         for bias in BIASES {
             let c = match bias {
@@ -197,6 +228,56 @@ proptest! {
                 .expect("run_into runs");
             prop_assert_eq!(bits(&got), want, "m={} rows={} widths={:?}", m, rows, widths);
         }
+    }
+
+    #[test]
+    fn conv_run_into_is_bit_identical_to_run(
+        (n, h, w) in (1usize..3, 1usize..8, 1usize..8),
+        (in_c, c_pad, k, k1) in (1usize..7, 0usize..3, 1usize..13, 1usize..11),
+        (r, s) in (prop::sample::select(vec![1usize, 3]), prop::sample::select(vec![1usize, 3])),
+        (stride, padding, dilation) in ((1usize..3, 1usize..3), (0usize..2, 0usize..2), (1usize..3, 1usize..3)),
+        in_dtype in prop::sample::select(vec![DType::F16, DType::F32]),
+        activation in prop::sample::select(ACTIVATIONS.to_vec()),
+        seed in 0u64..1000,
+    ) {
+        let c = in_c + c_pad;
+        let mut p0 = Conv2dProblem::new(n, h, w, c, k, r, s, stride, padding);
+        p0.dilation = dilation;
+        let p1 = Conv2dProblem::new(n, p0.out_h(), p0.out_w(), k, k1, 1, 1, (1, 1), (0, 0));
+        let mut config = Conv2dConfig::turing_default();
+        config.gemm.threadblock = TileShape::new(16, 16, 8);
+        let ep0 = Epilogue::bias_activation(activation, DType::F16);
+        let ep1 = Epilogue::bias_activation(Activation::Identity, DType::F16);
+        let conv = Conv2dKernel::new(p0, config, ep0, DType::F16);
+        let b2b = B2bConvKernel::with_residence(p0, p1, ep0, ep1, Residence::SharedMemory, DType::F16);
+
+        let raw = Tensor::randn(&[n * h * w * in_c], in_dtype, seed);
+        let x = channel_padded(raw.data(), &p0, in_c, in_dtype);
+        let (f0, f1) = (random_filter(&p0, DType::F16, seed + 1), random_filter(&p1, DType::F16, seed + 2));
+        let fm0 = filter_as_matrix(&p0, &f0).expect("filter packs");
+        let fm1 = filter_as_matrix(&p1, &f1).expect("filter packs");
+        let (b0, b1) = (Tensor::randn(&[k], DType::F16, seed + 3), Tensor::randn(&[k1], DType::F16, seed + 4));
+        let want_conv = bits(conv.run(&x, &f0, Some(&b0)).expect("oracle runs").data());
+        let want_b2b = bits(b2b.run(&x, &f0, Some(&b0), &f1, Some(&b1)).expect("oracle runs").data());
+
+        CONV_SCRATCH.with_borrow_mut(|[cols, acc, d0]| {
+            for &xq in flags(in_dtype) {
+                for fq in [false, true] {
+                    let mut got = vec![f32::NAN; want_conv.len()];
+                    conv.run_into(raw.data(), in_c, fm0.data(), Some(&b0), cols, acc, &mut got, xq, fq)
+                        .expect("conv run_into runs");
+                    prop_assert_eq!(bits(&got), want_conv.clone(), "conv {:?} in_c={} xq={} fq={}", p0, in_c, xq, fq);
+                    let mut got = vec![f32::NAN; want_b2b.len()];
+                    b2b.run_into(
+                        raw.data(), in_c, fm0.data(), Some(&b0), fm1.data(), Some(&b1),
+                        cols, acc, d0, &mut got, xq, fq,
+                    )
+                    .expect("b2b conv run_into runs");
+                    prop_assert_eq!(bits(&got), want_b2b.clone(), "b2b conv {:?} in_c={} xq={} fq={}", p0, in_c, xq, fq);
+                }
+            }
+            Ok(())
+        })?;
     }
 
     #[test]

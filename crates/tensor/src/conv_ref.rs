@@ -245,34 +245,30 @@ pub fn im2col_into(
             &[out.len()],
         ));
     }
-    for n in 0..problem.n {
-        for oy in 0..p {
-            for ox in 0..q {
-                let row = (n * p + oy) * q + ox;
-                for r in 0..problem.r {
-                    for s in 0..problem.s {
-                        for c in 0..problem.c {
-                            let col = (r * problem.s + s) * problem.c + c;
-                            let iy = (oy * problem.stride.0 + r * problem.dilation.0) as isize
-                                - problem.padding.0 as isize;
-                            let ix = (ox * problem.stride.1 + s * problem.dilation.1) as isize
-                                - problem.padding.1 as isize;
-                            let v = if c >= in_c
-                                || iy < 0
-                                || iy >= problem.h as isize
-                                || ix < 0
-                                || ix >= problem.w as isize
-                            {
-                                0.0
-                            } else {
-                                let (iy, ix) = (iy as usize, ix as usize);
-                                input_nhwc[((n * problem.h + iy) * problem.w + ix) * in_c + c]
-                            };
-                            out[row * kk + col] = v;
-                        }
-                    }
-                }
+    if kk == 0 {
+        return Ok(());
+    }
+    // One im2col row per output pixel, one `c`-wide run per filter tap:
+    // an in-image tap copies its `in_c` channels in one run, and the
+    // channel pad and out-of-image taps are zero-filled.
+    for (pixel, row) in out.chunks_exact_mut(kk).enumerate() {
+        let (n, oy, ox) = (pixel / (p * q), pixel / q % p, pixel % q);
+        for (tap, run) in row.chunks_exact_mut(problem.c).enumerate() {
+            let (r, s) = (tap / problem.s, tap % problem.s);
+            let iy = (oy * problem.stride.0 + r * problem.dilation.0)
+                .checked_sub(problem.padding.0)
+                .filter(|&iy| iy < problem.h);
+            let ix = (ox * problem.stride.1 + s * problem.dilation.1)
+                .checked_sub(problem.padding.1)
+                .filter(|&ix| ix < problem.w);
+            let (chans, pad) = run.split_at_mut(in_c);
+            match (iy, ix) {
+                (Some(iy), Some(ix)) => chans.copy_from_slice(
+                    &input_nhwc[((n * problem.h + iy) * problem.w + ix) * in_c..][..in_c],
+                ),
+                _ => chans.fill(0.0),
             }
+            pad.fill(0.0);
         }
     }
     Ok(())
