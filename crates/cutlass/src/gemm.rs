@@ -127,39 +127,40 @@ const MR: usize = 4;
 /// Columns of one register block: one panel of `B` and of the output.
 const NR: usize = 8;
 
-/// One `R × W` output block of [`GemmKernel::run_into`]'s main loop:
-/// the first `R` rows of `a` (row stride `k`) times the `k × W` panel
-/// that starts each `b_ld`-strided row of `b`, summed over all of K with
-/// k ascending from 0.0 (the operation sequence of every element in
-/// [`GemmKernel::run`]), then stored at the start of the first `R`
-/// `ld`-strided rows of `tile`.
+/// One `R × NR` output block of [`GemmKernel::run_into`]'s main loop:
+/// the first `R` rows of `a` (row stride `k`) times the `k × NR` panel
+/// at column `col0` of each `b_ld`-strided row of `b`, summed over all
+/// of K with k ascending from 0.0 (the operation sequence of every
+/// element in [`GemmKernel::run`]), then stored at the start of the
+/// first `R` `ld`-strided rows of `tile`.
 ///
 /// Kept out of line: inlined into the panel loop, the block array's
 /// vectorized lanes got shuffled and one accumulator spilled to the
 /// stack on every k, and the loop ran no faster than the tile walk it
 /// replaces.
 #[inline(never)]
-fn block<const R: usize, const W: usize>(
+fn block<const R: usize>(
     a: &[f32],
     k: usize,
     b: &[f32],
     b_ld: usize,
+    col0: usize,
     tile: &mut [f32],
     ld: usize,
 ) {
     let a_rows: [&[f32]; R] = std::array::from_fn(|i| &a[i * k..][..k]);
-    let mut sums = [[0.0f32; W]; R];
+    let mut sums = [[0.0f32; NR]; R];
     for kc in 0..k {
-        let b_row = &b[kc * b_ld..][..W];
+        let b_row = &b[kc * b_ld + col0..][..NR];
         for i in 0..R {
             let a_val = a_rows[i][kc];
-            for j in 0..W {
+            for j in 0..NR {
                 sums[i][j] += a_val * b_row[j];
             }
         }
     }
     for (i, sum) in sums.iter().enumerate() {
-        tile[i * ld..][..W].copy_from_slice(sum);
+        tile[i * ld..][..NR].copy_from_slice(sum);
     }
 }
 
@@ -313,9 +314,8 @@ impl GemmKernel {
     /// The main loop is a register-blocked micro-kernel, not `run`'s tile
     /// walk. Eight-column panels of `B` are walked outermost and 4-row
     /// blocks of `A` inside them; each 4×8 output block is summed over
-    /// all of K in registers (one or two live rows take 1×32 or 2×16
-    /// blocks instead), then `Epilogue::store_row` runs once per output
-    /// row. In `run`, every output element accumulates
+    /// all of K in registers, then `Epilogue::store_row` runs once per
+    /// output row. In `run`, every output element accumulates
     /// `a[r][k] * b[k][c]` with k rising from 0.0, and split-K slices add
     /// into the same accumulator in slice order. The threadblock shape,
     /// the split-K factor and the k-tile size therefore change only the
@@ -452,11 +452,12 @@ impl GemmKernel {
         };
         let (b, b_ld): (&[f32], usize) = if n < NR {
             // Column by column: a runtime-length copy per k row cost more
-            // than the block it feeds at one live row.
+            // than the block it feeds at one live row. `skip` rather than
+            // slicing, so a k = 0 problem stages nothing.
             panel.fill(0.0);
             for j in 0..n {
-                let column = b[j..].iter().step_by(n);
-                for (d, &v) in panel[j..].iter_mut().step_by(NR).zip(column) {
+                let column = b.iter().skip(j).step_by(n);
+                for (d, &v) in panel.iter_mut().skip(j).step_by(NR).zip(column) {
                     *d = v;
                 }
             }
@@ -465,42 +466,21 @@ impl GemmKernel {
             (b, n)
         };
 
-        // One or two live rows share no panel between row blocks, and an
-        // `R × NR` block keeps only `2R` accumulator vectors in flight, so
-        // their add chains would stall on latency. They widen the block
-        // over B's in-place columns instead, to the eight vectors of a
-        // full `MR × NR` block.
-        let mut col0 = 0;
-        match rows {
-            1 => {
-                while col0 + 4 * NR <= full {
-                    block::<1, { 4 * NR }>(a, k, &b[col0..], b_ld, &mut tile[col0..], ld);
-                    col0 += 4 * NR;
-                }
-            }
-            2 => {
-                while col0 + 2 * NR <= full {
-                    block::<2, { 2 * NR }>(a, k, &b[col0..], b_ld, &mut tile[col0..], ld);
-                    col0 += 2 * NR;
-                }
-            }
-            _ => {}
-        }
         // Panels outermost, so one `k × NR` panel of `B` stays in L1 while
-        // every row block reads it.
+        // every row block reads it. `b` goes to `block` whole, with the
+        // panel's first column: with k = 0 it is empty and every block
+        // stores zeros for the epilogue.
         let ragged = (full < n).then(|| ld - NR);
-        for col0 in (col0..full).step_by(NR).chain(ragged) {
-            let mut row0 = 0;
-            while row0 < rows {
-                let (a_blk, b_blk) = (&a[row0 * k..], &b[col0..]);
+        for col0 in (0..full).step_by(NR).chain(ragged) {
+            for row0 in (0..rows).step_by(MR) {
+                let a_blk = &a[row0 * k..];
                 let t_blk = &mut tile[row0 * ld + col0..];
                 match rows - row0 {
-                    1 => block::<1, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
-                    2 => block::<2, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
-                    3 => block::<3, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
-                    _ => block::<MR, NR>(a_blk, k, b_blk, b_ld, t_blk, ld),
+                    1 => block::<1>(a_blk, k, b, b_ld, col0, t_blk, ld),
+                    2 => block::<2>(a_blk, k, b, b_ld, col0, t_blk, ld),
+                    3 => block::<3>(a_blk, k, b, b_ld, col0, t_blk, ld),
+                    _ => block::<MR>(a_blk, k, b, b_ld, col0, t_blk, ld),
                 }
-                row0 += MR;
             }
         }
 

@@ -293,3 +293,46 @@ proptest! {
         prop_assert!(result.is_err());
     }
 }
+
+/// A zero-depth GEMM sums nothing: `run_into` must store the epilogue of
+/// zero accumulators, as `run` does, for a `B` narrower than one panel,
+/// whole panels and a ragged last panel.
+#[test]
+fn empty_k_stores_the_epilogue_of_zeros() {
+    for (m, n) in [(1, 3), (5, 8), (5, 13), (2, 16)] {
+        let kernel = GemmKernel::new(
+            GemmProblem::fp16(m, n, 0),
+            GemmConfig::turing_default(),
+            Epilogue::bias_activation(Activation::Sigmoid, DType::F16),
+        );
+        let (a, b) = (
+            Tensor::zeros(&[m, 0], DType::F16),
+            Tensor::zeros(&[0, n], DType::F16),
+        );
+        let bias = Tensor::randn(&[n], DType::F16, 7);
+        let (want, _) = kernel.run(&a, &b, Some(&bias)).expect("oracle runs");
+        let mut acc = vec![f32::NAN; 64];
+        let mut got = vec![f32::NAN; m * n];
+        for rows in [m, 1] {
+            for (aq, bq) in [(false, false), (true, true)] {
+                kernel
+                    .run_into(
+                        a.data(),
+                        b.data(),
+                        Some(&bias),
+                        &mut acc,
+                        &mut got,
+                        rows,
+                        aq,
+                        bq,
+                    )
+                    .expect("run_into runs");
+                assert_eq!(
+                    bits(&got),
+                    live_bits(want.data(), rows, n),
+                    "m={m} n={n} rows={rows}"
+                );
+            }
+        }
+    }
+}
