@@ -224,7 +224,7 @@ struct Workspace {
     d1: Vec<f32>,
     /// The slot table, kept between runs so a warm run does not
     /// allocate one (see [`Frame`]).
-    values: Vec<Option<Value>>,
+    values: Vec<Option<Tensor>>,
 }
 
 impl Workspace {
@@ -703,44 +703,24 @@ impl KvArena {
     }
 }
 
-/// A value resident in a buffer slot during one run. Graph inputs that
-/// are already in the internal layout are read straight from the
-/// caller's slice — the old executor cloned every input up front.
-#[derive(Debug)]
-enum Value {
-    /// An intermediate, converted input or packed batch owned by this
-    /// run; its backing buffer is recycled into the workspace when it
-    /// dies.
-    Owned(Tensor),
-    /// Caller input `i`, borrowed for the duration of the run.
-    Input(usize),
-}
-
 /// The slot table of one run. The table is the workspace's, taken for
 /// the run and handed back by [`Frame::finish`], so a warm run
-/// allocates none.
-struct Frame<'a> {
-    /// The caller's inputs, for [`Value::Input`].
-    inputs: &'a [Tensor],
-    values: Vec<Option<Value>>,
+/// allocates none. Every value in it is owned by the run (a packed
+/// input or a step output) and its buffer is recycled into the
+/// workspace when it dies.
+struct Frame {
+    values: Vec<Option<Tensor>>,
     /// Samples the batch fills, out of `capacity`.
     live: usize,
     capacity: usize,
 }
 
-impl<'a> Frame<'a> {
+impl Frame {
     /// An empty table for `plan`, running `live` of `capacity` samples.
-    fn new(
-        plan: &ExecutionPlan,
-        ws: &mut Workspace,
-        inputs: &'a [Tensor],
-        live: usize,
-        capacity: usize,
-    ) -> Self {
+    fn new(plan: &ExecutionPlan, ws: &mut Workspace, live: usize, capacity: usize) -> Self {
         let mut values = std::mem::take(&mut ws.values);
         values.resize_with(plan.slots.slot_bytes.len(), || None);
         Frame {
-            inputs,
             values,
             live,
             capacity,
@@ -749,10 +729,7 @@ impl<'a> Frame<'a> {
 
     /// The value resident in `slot`, if any.
     fn get(&self, slot: usize) -> Option<&Tensor> {
-        self.values[slot].as_ref().map(|v| match v {
-            Value::Owned(t) => t,
-            Value::Input(i) => &self.inputs[*i],
-        })
+        self.values[slot].as_ref()
     }
 
     /// How many of a GEMM's `m` rows hold live samples. Every graph op
@@ -770,13 +747,45 @@ impl<'a> Frame<'a> {
     /// Recycles every buffer the run still owns and hands the emptied
     /// table back to the workspace.
     fn finish(mut self, ws: &mut Workspace) {
-        for value in self.values.drain(..) {
-            if let Some(Value::Owned(t)) = value {
-                ws.recycle(t.into_data());
-            }
+        for t in self.values.drain(..).flatten() {
+            ws.recycle(t.into_data());
         }
         ws.values = self.values;
     }
+}
+
+/// Copies `t`'s logical values into `dst` (`t.numel()` long) in the
+/// executor's internal layout: NHWC for a rank-4 tensor (an NCHW or
+/// contiguous one is transposed, batch index by batch index), row-major
+/// for a column-major matrix, and a plain copy otherwise. The values are
+/// already quantized in `t`'s dtype, so nothing is rounded, and that
+/// dtype is returned as the packed buffer's.
+fn pack_tensor(t: &Tensor, dst: &mut [f32]) -> DType {
+    let src = t.data();
+    match t.layout() {
+        Layout::Nchw | Layout::Contiguous if t.shape().rank() == 4 => {
+            let (n, c, h, w) = t.dims4();
+            let hw = h * w;
+            for b in 0..n {
+                let base = b * c * hw;
+                for ci in 0..c {
+                    for p in 0..hw {
+                        dst[base + p * c + ci] = src[base + ci * hw + p];
+                    }
+                }
+            }
+        }
+        Layout::Matrix(MatrixLayout::ColMajor) => {
+            let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
+            for r in 0..rows {
+                for c in 0..cols {
+                    dst[r * cols + c] = src[c * rows + r];
+                }
+            }
+        }
+        _ => dst.copy_from_slice(src),
+    }
+    t.dtype()
 }
 
 // ---------------------------------------------------------------------------
@@ -861,13 +870,13 @@ struct Pricing {
 /// Looks up values for host ops during slot execution: fused-chain
 /// locals first, then the slot table (params resolve inside
 /// `run_host_op` via the graph).
-struct HostScope<'a, 'b> {
+struct HostScope<'a> {
     plan: &'a ExecutionPlan,
-    frame: &'a Frame<'b>,
+    frame: &'a Frame,
     locals: &'a HashMap<NodeId, Tensor>,
 }
 
-impl ValueLookup for HostScope<'_, '_> {
+impl ValueLookup for HostScope<'_> {
     fn lookup(&self, id: NodeId) -> Option<&Tensor> {
         self.locals.get(&id).or_else(|| {
             self.plan
@@ -1144,8 +1153,9 @@ impl ExecutionPlan {
     // -----------------------------------------------------------------
 
     /// Executes the plan on real inputs (one tensor per graph input, in
-    /// `Graph::input_ids` order). Rank-4 inputs may be NCHW (converted
-    /// internally) or NHWC.
+    /// `Graph::input_ids` order). Rank-4 inputs may be NCHW or NHWC and
+    /// matrices row- or column-major: the inputs are packed into the
+    /// internal layout as one whole sample, like a batch of one.
     ///
     /// # Errors
     ///
@@ -1154,7 +1164,14 @@ impl ExecutionPlan {
     /// data. Malformed inputs never panic: every message spells out the
     /// expected vs. received shape.
     pub fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.run_impl(inputs, None)
+        self.validate_inputs(inputs)?;
+        self.run_packed(
+            1,
+            1,
+            None,
+            |i, _, dst| Ok(pack_tensor(&inputs[i], dst)),
+            |frame, ws| self.take_outputs(frame, ws),
+        )
     }
 
     /// [`ExecutionPlan::run`], reporting each executed step with its
@@ -1164,50 +1181,20 @@ impl ExecutionPlan {
         inputs: &[Tensor],
         observer: &mut dyn StepObserver,
     ) -> Result<Vec<Tensor>> {
-        self.run_impl(inputs, Some(observer))
-    }
-
-    fn run_impl(
-        &self,
-        inputs: &[Tensor],
-        observer: Option<&mut dyn StepObserver>,
-    ) -> Result<Vec<Tensor>> {
         self.validate_inputs(inputs)?;
-        let mut ws = self.acquire_workspace();
-        // One of one sample live: the whole batch is computed.
-        let mut frame = Frame::new(self, &mut ws, inputs, 1, 1);
-        let result = self.run_frame(&mut frame, &mut ws, observer);
-        frame.finish(&mut ws);
-        self.release_workspace(ws);
-        result
-    }
-
-    /// Binds the caller's inputs, runs every step, and takes the outputs.
-    fn run_frame(
-        &self,
-        frame: &mut Frame<'_>,
-        ws: &mut Workspace,
-        observer: Option<&mut dyn StepObserver>,
-    ) -> Result<Vec<Tensor>> {
-        for (i, (&id, tensor)) in self.input_ids.iter().zip(frame.inputs).enumerate() {
-            // Normalize rank-4 activations to NHWC internally (Bolt's
-            // layout transform); anything already in the internal layout
-            // is borrowed in place, clone-free.
-            let value = if tensor.shape().rank() == 4 && tensor.layout() != Layout::Nhwc {
-                Value::Owned(tensor.to_activation_layout(Layout::Nhwc)?)
-            } else {
-                Value::Input(i)
-            };
-            frame.values[self.slots.slot_of[&id]] = Some(value);
-        }
-        self.run_steps(frame, ws, observer)?;
-        self.take_outputs(frame, ws)
+        self.run_packed(
+            1,
+            1,
+            Some(observer),
+            |i, _, dst| Ok(pack_tensor(&inputs[i], dst)),
+            |frame, ws| self.take_outputs(frame, ws),
+        )
     }
 
     /// Executes every step over a bound slot table.
     fn run_steps(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame,
         ws: &mut Workspace,
         mut observer: Option<&mut dyn StepObserver>,
     ) -> Result<()> {
@@ -1218,15 +1205,15 @@ impl ExecutionPlan {
                 obs.observe(i, step, &time);
             }
             // Release dying inputs, then store: the output may reuse a
-            // slot released on this very step. Owned buffers go back to
+            // slot released on this very step. Their buffers go back to
             // the workspace for the next step (or run) to lease.
             for &slot in &self.slots.release_after[i] {
-                if let Some(Value::Owned(t)) = frame.values[slot].take() {
+                if let Some(t) = frame.values[slot].take() {
                     ws.recycle(t.into_data());
                 }
             }
             if let Some(tensor) = produced {
-                frame.values[self.slots.slot_of[&step.output]] = Some(Value::Owned(tensor));
+                frame.values[self.slots.slot_of[&step.output]] = Some(tensor);
             }
         }
         Ok(())
@@ -1234,7 +1221,7 @@ impl ExecutionPlan {
 
     /// Moves the graph outputs out of a finished run, converting
     /// activations back to the framework's NCHW convention.
-    fn take_outputs(&self, frame: &mut Frame<'_>, ws: &mut Workspace) -> Result<Vec<Tensor>> {
+    fn take_outputs(&self, frame: &mut Frame, ws: &mut Workspace) -> Result<Vec<Tensor>> {
         let outs = self.graph.outputs();
         let mut outputs = Vec::with_capacity(outs.len());
         for (k, &out) in outs.iter().enumerate() {
@@ -1243,10 +1230,7 @@ impl ExecutionPlan {
             // the same node again.
             let taken = match slot {
                 Some(s) if outs[k + 1..].contains(&out) => frame.get(s).cloned(),
-                Some(s) => frame.values[s].take().map(|v| match v {
-                    Value::Owned(t) => t,
-                    Value::Input(i) => frame.inputs[i].clone(),
-                }),
+                Some(s) => frame.values[s].take(),
                 None => None,
             };
             let t = taken.ok_or_else(|| BoltError::BadInput {
@@ -1299,7 +1283,7 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    fn value<'f>(&self, frame: &'f Frame<'_>, id: NodeId) -> Result<&'f Tensor> {
+    fn value<'f>(&self, frame: &'f Frame, id: NodeId) -> Result<&'f Tensor> {
         self.slots
             .slot_of
             .get(&id)
@@ -1309,31 +1293,21 @@ impl ExecutionPlan {
             })
     }
 
-    /// True when `t` is a rank-2 matrix whose raw data is row-major
-    /// (`row * cols + col`) — the precondition for the allocation-free
-    /// GEMM fast path.
-    fn row_major_2d(t: &Tensor) -> bool {
-        t.shape().rank() == 2
-            && matches!(
-                t.layout(),
-                Layout::Matrix(MatrixLayout::RowMajor) | Layout::Contiguous
-            )
-    }
-
-    /// Executes one step against the slot table, borrowing inputs in
+    /// Executes one step against the slot table, reading its inputs in
     /// place (no clones on the hot path), leasing the output buffer from
     /// the workspace, and returning the produced tensor, if the step
     /// produces one.
     ///
-    /// Each kernel step first tries the allocation-free `run_into` fast
-    /// path (prepacked operands, pooled scratch, direct output write);
-    /// inputs in an unexpected layout fall back to the general `run`
-    /// entry points, which are bit-identical.
+    /// Every kernel step runs its kernel's allocation-free `run_into`
+    /// (prepacked operands, pooled scratch, direct output write). Slot
+    /// values are always in the internal layout: inputs are packed into
+    /// it on the way in, and kernels write row-major matrices and NHWC
+    /// activations.
     fn execute_step(
         &self,
         index: usize,
         step: &Step,
-        frame: &Frame<'_>,
+        frame: &Frame,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>> {
         // Prepacked constants, or a lazy repack for shapes-only graphs
@@ -1355,107 +1329,80 @@ impl ExecutionPlan {
                     Some(r) => Some(self.value(frame, *r)?),
                     None => packed.biases[0].as_deref(),
                 };
-                if Self::row_major_2d(a) && Self::row_major_2d(&packed.weights[0]) {
-                    let p = &kernel.problem;
-                    // Tensor stores quantize, so an activation or weight
-                    // tensor of the kernel's element dtype holds
-                    // exactly-representable values and the per-load
-                    // rounding can be skipped.
-                    let aq = a.dtype() == p.element;
-                    let wq = packed.weights[0].dtype() == p.element;
-                    let mut buf = ws.lease(p.m * p.n);
-                    kernel.run_into(
-                        a.data(),
-                        packed.weights[0].data(),
-                        c,
-                        &mut ws.acc,
-                        &mut buf,
-                        frame.live_rows(p.m),
-                        aq,
-                        wq,
-                    )?;
-                    let d =
-                        Tensor::from_quantized_vec(&[p.m, p.n], kernel.epilogue.out_dtype, buf)?;
-                    return Ok(Some(d));
-                }
-                let (d, _) = kernel.run(a, &packed.weights[0], c)?;
+                let p = &kernel.problem;
+                // Tensor stores quantize, so an activation or weight
+                // tensor of the kernel's element dtype holds
+                // exactly-representable values and the per-load rounding
+                // can be skipped.
+                let aq = a.dtype() == p.element;
+                let wq = packed.weights[0].dtype() == p.element;
+                let mut buf = ws.lease(p.m * p.n);
+                kernel.run_into(
+                    a.data(),
+                    packed.weights[0].data(),
+                    c,
+                    &mut ws.acc,
+                    &mut buf,
+                    frame.live_rows(p.m),
+                    aq,
+                    wq,
+                )?;
+                let d = Tensor::from_quantized_vec(&[p.m, p.n], kernel.epilogue.out_dtype, buf)?;
                 Ok(Some(d))
             }
-            StepKind::Conv2d { kernel, pad_to, .. } => {
+            StepKind::Conv2d { kernel, .. } => {
                 let x = self.value(frame, step.inputs[0])?;
-                if x.layout() == Layout::Nhwc {
-                    // The implicit-GEMM lowering reads channels past the
-                    // activation's physical extent as zero, folding the
-                    // channel pad into the main loop — no standalone pad
-                    // kernel, no materialized padded copy.
-                    let p = &kernel.problem;
-                    let in_c = x.dims4().1;
-                    let xq = x.dtype() == kernel.element;
-                    let fq = packed.filter_mats[0].dtype() == kernel.element;
-                    let mut buf = ws.lease(p.n * p.out_h() * p.out_w() * p.k);
-                    kernel.run_into(
-                        x.data(),
-                        in_c,
-                        packed.filter_mats[0].data(),
-                        packed.biases[0].as_deref(),
-                        &mut ws.cols,
-                        &mut ws.acc,
-                        &mut buf,
-                        xq,
-                        fq,
-                    )?;
-                    let d = Tensor::from_quantized_vec_nhwc(
-                        p.n,
-                        p.k,
-                        p.out_h(),
-                        p.out_w(),
-                        kernel.epilogue.out_dtype,
-                        buf,
-                    )?;
-                    return Ok(Some(d));
-                }
-                let padded;
-                let x = match pad_to {
-                    Some(pc) if x.dims4().1 < *pc => {
-                        padded = x.pad_channels_nhwc(*pc)?;
-                        &padded
-                    }
-                    _ => x,
-                };
-                let d = kernel.run(x, &packed.weights[0], packed.biases[0].as_deref())?;
+                // The implicit-GEMM lowering reads channels past the
+                // activation's physical extent as zero, folding the
+                // channel pad into the main loop — no standalone pad
+                // kernel, no materialized padded copy.
+                let p = &kernel.problem;
+                let in_c = x.dims4().1;
+                let xq = x.dtype() == kernel.element;
+                let fq = packed.filter_mats[0].dtype() == kernel.element;
+                let mut buf = ws.lease(p.n * p.out_h() * p.out_w() * p.k);
+                kernel.run_into(
+                    x.data(),
+                    in_c,
+                    packed.filter_mats[0].data(),
+                    packed.biases[0].as_deref(),
+                    &mut ws.cols,
+                    &mut ws.acc,
+                    &mut buf,
+                    xq,
+                    fq,
+                )?;
+                let d = Tensor::from_quantized_vec_nhwc(
+                    p.n,
+                    p.k,
+                    p.out_h(),
+                    p.out_w(),
+                    kernel.epilogue.out_dtype,
+                    buf,
+                )?;
                 Ok(Some(d))
             }
             StepKind::B2bGemm { kernel, .. } => {
                 let a = self.value(frame, step.inputs[0])?;
-                if Self::row_major_2d(a) {
-                    let (m, n1) = (kernel.gemm1.m, kernel.gemm1.n);
-                    let aq = a.dtype() == kernel.gemm0.element;
-                    let wq = packed.weights[0].dtype() == kernel.gemm0.element
-                        && packed.weights[1].dtype() == kernel.gemm1.element;
-                    let mut buf = ws.lease(m * n1);
-                    kernel.run_into(
-                        a.data(),
-                        packed.weights[0].data(),
-                        packed.biases[0].as_deref(),
-                        packed.weights[1].data(),
-                        packed.biases[1].as_deref(),
-                        &mut ws.acc,
-                        &mut ws.d0,
-                        &mut buf,
-                        frame.live_rows(m),
-                        aq,
-                        wq,
-                    )?;
-                    let d = Tensor::from_quantized_vec(&[m, n1], kernel.epilogue1.out_dtype, buf)?;
-                    return Ok(Some(d));
-                }
-                let d = kernel.run(
-                    a,
-                    &packed.weights[0],
+                let (m, n1) = (kernel.gemm1.m, kernel.gemm1.n);
+                let aq = a.dtype() == kernel.gemm0.element;
+                let wq = packed.weights[0].dtype() == kernel.gemm0.element
+                    && packed.weights[1].dtype() == kernel.gemm1.element;
+                let mut buf = ws.lease(m * n1);
+                kernel.run_into(
+                    a.data(),
+                    packed.weights[0].data(),
                     packed.biases[0].as_deref(),
-                    &packed.weights[1],
+                    packed.weights[1].data(),
                     packed.biases[1].as_deref(),
+                    &mut ws.acc,
+                    &mut ws.d0,
+                    &mut buf,
+                    frame.live_rows(m),
+                    aq,
+                    wq,
                 )?;
+                let d = Tensor::from_quantized_vec(&[m, n1], kernel.epilogue1.out_dtype, buf)?;
                 Ok(Some(d))
             }
             StepKind::GemmChain { chain, .. } => {
@@ -1463,86 +1410,61 @@ impl ExecutionPlan {
                 let last = chain.stages.last().ok_or_else(|| BoltError::BadInput {
                     reason: "GEMM chain step with no stages".to_string(),
                 })?;
-                if Self::row_major_2d(a) {
-                    let (m, n) = (last.problem.m, last.problem.n);
-                    let w_slices: Vec<&[f32]> = packed.weights.iter().map(|w| w.data()).collect();
-                    let b_refs: Vec<Option<&Tensor>> =
-                        packed.biases.iter().map(|b| b.as_deref()).collect();
-                    let aq = a.dtype() == chain.stages[0].problem.element;
-                    let wq = chain
-                        .stages
-                        .iter()
-                        .zip(packed.weights.iter())
-                        .all(|(stage, w)| w.dtype() == stage.problem.element);
-                    let mut buf = ws.lease(m * n);
-                    chain.run_into(
-                        a.data(),
-                        &w_slices,
-                        &b_refs,
-                        &mut ws.acc,
-                        &mut ws.d0,
-                        &mut ws.d1,
-                        &mut buf,
-                        frame.live_rows(m),
-                        aq,
-                        wq,
-                    )?;
-                    let d = Tensor::from_quantized_vec(&[m, n], last.epilogue.out_dtype, buf)?;
-                    return Ok(Some(d));
-                }
-                let w_refs: Vec<&Tensor> = packed.weights.iter().map(|w| w.as_ref()).collect();
+                let (m, n) = (last.problem.m, last.problem.n);
+                let w_slices: Vec<&[f32]> = packed.weights.iter().map(|w| w.data()).collect();
                 let b_refs: Vec<Option<&Tensor>> =
                     packed.biases.iter().map(|b| b.as_deref()).collect();
-                let d = chain.run(a, &w_refs, &b_refs)?;
+                let aq = a.dtype() == chain.stages[0].problem.element;
+                let wq = chain
+                    .stages
+                    .iter()
+                    .zip(packed.weights.iter())
+                    .all(|(stage, w)| w.dtype() == stage.problem.element);
+                let mut buf = ws.lease(m * n);
+                chain.run_into(
+                    a.data(),
+                    &w_slices,
+                    &b_refs,
+                    &mut ws.acc,
+                    &mut ws.d0,
+                    &mut ws.d1,
+                    &mut buf,
+                    frame.live_rows(m),
+                    aq,
+                    wq,
+                )?;
+                let d = Tensor::from_quantized_vec(&[m, n], last.epilogue.out_dtype, buf)?;
                 Ok(Some(d))
             }
-            StepKind::B2bConv { kernel, pad_to, .. } => {
+            StepKind::B2bConv { kernel, .. } => {
                 let x = self.value(frame, step.inputs[0])?;
-                if x.layout() == Layout::Nhwc {
-                    let p1 = &kernel.conv1;
-                    let in_c = x.dims4().1;
-                    let xq = x.dtype() == kernel.element;
-                    let fq = packed.filter_mats[0].dtype() == kernel.element
-                        && packed.filter_mats[1].dtype() == kernel.element;
-                    let mut buf = ws.lease(p1.n * p1.out_h() * p1.out_w() * p1.k);
-                    kernel.run_into(
-                        x.data(),
-                        in_c,
-                        packed.filter_mats[0].data(),
-                        packed.biases[0].as_deref(),
-                        packed.filter_mats[1].data(),
-                        packed.biases[1].as_deref(),
-                        &mut ws.cols,
-                        &mut ws.acc,
-                        &mut ws.d0,
-                        &mut buf,
-                        xq,
-                        fq,
-                    )?;
-                    let d = Tensor::from_quantized_vec_nhwc(
-                        p1.n,
-                        p1.k,
-                        p1.out_h(),
-                        p1.out_w(),
-                        kernel.epilogue1.out_dtype,
-                        buf,
-                    )?;
-                    return Ok(Some(d));
-                }
-                let padded;
-                let x = match pad_to {
-                    Some(pc) if x.dims4().1 < *pc => {
-                        padded = x.pad_channels_nhwc(*pc)?;
-                        &padded
-                    }
-                    _ => x,
-                };
-                let d = kernel.run(
-                    x,
-                    &packed.weights[0],
+                let p1 = &kernel.conv1;
+                let in_c = x.dims4().1;
+                let xq = x.dtype() == kernel.element;
+                let fq = packed.filter_mats[0].dtype() == kernel.element
+                    && packed.filter_mats[1].dtype() == kernel.element;
+                let mut buf = ws.lease(p1.n * p1.out_h() * p1.out_w() * p1.k);
+                kernel.run_into(
+                    x.data(),
+                    in_c,
+                    packed.filter_mats[0].data(),
                     packed.biases[0].as_deref(),
-                    &packed.weights[1],
+                    packed.filter_mats[1].data(),
                     packed.biases[1].as_deref(),
+                    &mut ws.cols,
+                    &mut ws.acc,
+                    &mut ws.d0,
+                    &mut buf,
+                    xq,
+                    fq,
+                )?;
+                let d = Tensor::from_quantized_vec_nhwc(
+                    p1.n,
+                    p1.k,
+                    p1.out_h(),
+                    p1.out_w(),
+                    kernel.epilogue1.out_dtype,
+                    buf,
                 )?;
                 Ok(Some(d))
             }
@@ -1592,7 +1514,7 @@ impl ExecutionPlan {
     fn residual_add(
         &self,
         step: &Step,
-        frame: &Frame<'_>,
+        frame: &Frame,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>> {
         let node = self.graph.node(step.output);
@@ -1605,7 +1527,7 @@ impl ExecutionPlan {
         ) else {
             return Ok(None);
         };
-        if !Self::row_major_2d(a) || a.shape() != b.shape() {
+        if a.shape().rank() != 2 || a.shape() != b.shape() {
             return Ok(None);
         }
         let mut buf = ws.lease(a.numel());
@@ -1681,6 +1603,8 @@ impl ExecutionPlan {
         self.validate_batch(samples, capacity)?;
         self.run_packed(
             samples.len(),
+            capacity,
+            None,
             |i, want, dst| Self::pack_samples(samples, i, want, dst),
             |frame, ws| {
                 let outputs = self.take_outputs(frame, ws)?;
@@ -1733,6 +1657,8 @@ impl ExecutionPlan {
         }
         self.run_packed(
             rows,
+            capacity,
+            None,
             |i, want, dst| {
                 let src = inputs[i];
                 if src.len() != dst.len() {
@@ -1750,9 +1676,6 @@ impl ExecutionPlan {
             },
             |frame, _| {
                 let output = self.value(frame, outs[0])?;
-                if !Self::row_major_2d(output) {
-                    return Err(bad("run_rows_into needs a row-major output".into()));
-                }
                 let per = output.numel() / capacity;
                 out.extend_from_slice(&output.data()[..rows * per]);
                 Ok(())
@@ -1760,26 +1683,27 @@ impl ExecutionPlan {
         )
     }
 
-    /// The batch-native core of [`ExecutionPlan::run_batched`] and
-    /// [`ExecutionPlan::run_rows_into`]: leases one batch buffer per
-    /// graph input, has `pack(i, shape, dst)` fill input `i`'s first
-    /// `live` samples and name the batch dtype, zero-fills the padding
-    /// samples (dead weight, never another request's activations), runs
-    /// every step with `live` samples live, and lets `finish` read the
-    /// results. Every buffer the run still owns then goes back to the
+    /// The core of every functional entry point: leases one batch buffer
+    /// per graph input, has `pack(i, shape, dst)` fill input `i`'s first
+    /// `live` of `capacity` samples in the internal layout and name the
+    /// batch dtype, zero-fills the padding samples (dead weight, never
+    /// another request's activations), runs every step with `live`
+    /// samples live, reporting each to `observer`, and lets `finish` read
+    /// the results. Every buffer the run still owns then goes back to the
     /// workspace.
     fn run_packed<T>(
         &self,
         live: usize,
+        capacity: usize,
+        observer: Option<&mut dyn StepObserver>,
         pack: impl FnMut(usize, &Shape, &mut [f32]) -> Result<DType>,
-        finish: impl FnOnce(&mut Frame<'_>, &mut Workspace) -> Result<T>,
+        finish: impl FnOnce(&mut Frame, &mut Workspace) -> Result<T>,
     ) -> Result<T> {
-        let capacity = self.batch_size()?;
         let mut ws = self.acquire_workspace();
-        let mut frame = Frame::new(self, &mut ws, &[], live, capacity);
+        let mut frame = Frame::new(self, &mut ws, live, capacity);
         let result = self
             .pack_inputs(&mut frame, &mut ws, pack)
-            .and_then(|()| self.run_steps(&mut frame, &mut ws, None))
+            .and_then(|()| self.run_steps(&mut frame, &mut ws, observer))
             .and_then(|()| finish(&mut frame, &mut ws));
         frame.finish(&mut ws);
         self.release_workspace(ws);
@@ -1790,7 +1714,7 @@ impl ExecutionPlan {
     /// slot (see [`ExecutionPlan::run_packed`]).
     fn pack_inputs(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame,
         ws: &mut Workspace,
         mut pack: impl FnMut(usize, &Shape, &mut [f32]) -> Result<DType>,
     ) -> Result<()> {
@@ -1809,11 +1733,11 @@ impl ExecutionPlan {
             buf[frame.live * per..].fill(0.0);
             let dims = want.dims();
             let tensor = if want.rank() == 4 {
-                Tensor::from_quantized_vec_nhwc(capacity, dims[1], dims[2], dims[3], dtype, buf)?
+                Tensor::from_quantized_vec_nhwc(dims[0], dims[1], dims[2], dims[3], dtype, buf)?
             } else {
                 Tensor::from_quantized_vec(dims, dtype, buf)?
             };
-            frame.values[self.slots.slot_of[&id]] = Some(Value::Owned(tensor));
+            frame.values[self.slots.slot_of[&id]] = Some(tensor);
         }
         Ok(())
     }
@@ -1844,8 +1768,7 @@ impl ExecutionPlan {
     }
 
     /// Packs input column `i` of every sample into `dst`, one row block
-    /// per sample (rank-4 NCHW samples are transposed to NHWC in the
-    /// same pass).
+    /// per sample, each in the internal layout (see [`pack_tensor`]).
     ///
     /// The batch takes sample 0's dtype. A sample of another dtype is
     /// rounded to it while packing, so the batch holds only values its
@@ -1872,20 +1795,7 @@ impl ExecutionPlan {
                     ),
                 });
             }
-            if want.rank() == 4 && t.layout() != Layout::Nhwc {
-                // NCHW (or contiguous) sample → NHWC row block.
-                let (_, c, h, w) = t.dims4();
-                let src = t.data();
-                for ci in 0..c {
-                    for hi in 0..h {
-                        for wi in 0..w {
-                            dst[(hi * w + wi) * c + ci] = src[(ci * h + hi) * w + wi];
-                        }
-                    }
-                }
-            } else {
-                dst.copy_from_slice(t.data());
-            }
+            pack_tensor(t, dst);
             if t.dtype() != dtype {
                 for v in dst.iter_mut() {
                     *v = dtype.quantize(*v);

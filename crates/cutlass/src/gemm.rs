@@ -7,10 +7,9 @@
 //! accumulation (the tensor-core contract). Results are validated against
 //! `bolt_tensor::gemm_ref` in this module's tests and by property tests.
 //!
-//! `run` keeps that tile walk as the oracle, and as the fallback for
-//! operands that are not row-major. The executor's allocation-free
-//! [`GemmKernel::run_into`] produces the same bits with a register-blocked
-//! micro-kernel instead.
+//! `run` keeps that tile walk as the oracle. The executor's
+//! allocation-free [`GemmKernel::run_into`], the only entry it calls,
+//! produces the same bits with a register-blocked micro-kernel instead.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -15,10 +15,11 @@
 
 use bolt::{BoltCompiler, BoltConfig, CompiledModel, StepKind};
 use bolt_gpu_sim::GpuArch;
+use bolt_models::cnn::serving_cnn;
 use bolt_models::llm::post_graph;
 use bolt_models::mlp::serving_mlp;
 use bolt_models::DecoderSpec;
-use bolt_tensor::{alloc_count, clone_count, DType, Tensor};
+use bolt_tensor::{alloc_count, clone_count, DType, Layout, Tensor};
 
 fn compile(widths: &[usize]) -> CompiledModel {
     // Epilogue-only lowering: one GEMM step per dense layer, so the
@@ -65,9 +66,9 @@ fn steady_state_runs_allocate_nothing() {
     });
 
     // The tentpole claim: a warmed-up run creates no tensor backing
-    // buffers and clones nothing, at any depth. Inputs are borrowed in
-    // place, intermediates lease pooled buffers, and dying values are
-    // recycled rather than dropped.
+    // buffers and clones nothing, at any depth. Inputs are packed into
+    // leased buffers, intermediates lease pooled buffers, and dying
+    // values are recycled rather than dropped.
     assert_eq!(
         (alloc_shallow, clone_shallow),
         (0, 0),
@@ -115,6 +116,31 @@ fn steady_state_runs_allocate_nothing() {
         (alloc_post, clone_post),
         (0, 0),
         "warmed-up tiny-lm post plan must not allocate or clone"
+    );
+
+    // `run` packs its inputs into the internal layout inside leased
+    // buffers, so a warm CNN run allocates exactly as much with an NCHW
+    // input as with the same input already in NHWC: no layout-converted
+    // copy of the input is ever made.
+    let cnn = BoltCompiler::new(GpuArch::tesla_t4(), BoltConfig::default())
+        .compile(&serving_cnn(1))
+        .expect("cnn-small compiles");
+    let nchw = vec![Tensor::randn(&[1, 3, 8, 8], DType::F16, 12)];
+    let nhwc = vec![nchw[0].to_activation_layout(Layout::Nhwc).expect("rank 4")];
+    for _ in 0..2 {
+        cnn.run(&nchw).expect("warm cnn");
+        cnn.run(&nhwc).expect("warm cnn");
+    }
+    let (alloc_nchw, clone_nchw) = deltas_during(|| {
+        cnn.run(&nchw).expect("nchw run");
+    });
+    let (alloc_nhwc, clone_nhwc) = deltas_during(|| {
+        cnn.run(&nhwc).expect("nhwc run");
+    });
+    assert_eq!(
+        (alloc_nchw, clone_nchw),
+        (alloc_nhwc, clone_nhwc),
+        "an NCHW input must not cost a converted copy"
     );
 
     // The batched path shares the same pool: after a warmup call, a

@@ -8,12 +8,12 @@
 //! fusion decisions, packed layouts, or slot counts must show up here as
 //! a reviewed diff, not as a silent behavioural drift.
 
-use bolt::{BoltCompiler, BoltConfig, CompiledModel, StepKind};
+use bolt::{BoltCompiler, BoltConfig, CompiledModel, StepKind, StepTimings};
 use bolt_gpu_sim::GpuArch;
 use bolt_graph::Graph;
 use bolt_models::llm::{lm_head_graph, post_graph, qkv_graph};
 use bolt_models::{try_model_by_name, DecoderSpec, SERVING_MODELS};
-use bolt_tensor::{DType, Tensor};
+use bolt_tensor::{DType, Layout, MatrixLayout, Tensor};
 
 fn compile(model: &str, batch: usize, config: BoltConfig) -> CompiledModel {
     let graph = try_model_by_name(model, batch).expect(model).graph;
@@ -242,9 +242,22 @@ fn deep_model_workspace_beats_sum_of_intermediates() {
     assert_eq!(plan.buffer_slots(), 1);
 }
 
+/// The same values in the input's other layout: NHWC for an NCHW
+/// activation, column-major for a row-major matrix.
+fn other_layout(t: &Tensor) -> Tensor {
+    if t.shape().rank() == 4 {
+        t.to_activation_layout(Layout::Nhwc).expect("rank 4")
+    } else {
+        t.clone()
+            .with_matrix_layout(MatrixLayout::ColMajor)
+            .expect("rank 2")
+    }
+}
+
 /// Functional equivalence across every executor the plan exposes: the
-/// slot-based `run`, the batched path at batch 1, and the retained
-/// pre-refactor reference interpreter must agree bit for bit.
+/// slot-based `run` (in either input layout, observed or not), the
+/// batched path at batch 1, and the retained pre-refactor reference
+/// interpreter must agree bit for bit.
 #[test]
 fn run_paths_agree_bit_for_bit() {
     for name in SERVING_MODELS {
@@ -254,6 +267,13 @@ fn run_paths_agree_bit_for_bit() {
             let slots = model.run(&inputs).expect(name);
             let reference = model.plan().run_reference(&inputs).expect(name);
             assert_eq!(slots, reference, "{name}: run vs run_reference");
+            let other: Vec<Tensor> = inputs.iter().map(other_layout).collect();
+            let repacked = model.run(&other).expect(name);
+            assert_eq!(repacked, reference, "{name}: run, other input layout");
+            let mut timings = StepTimings::default();
+            let observed = model.plan().run_observed(&other, &mut timings).expect(name);
+            assert_eq!(observed, reference, "{name}: run_observed");
+            assert_eq!(timings.steps.len(), model.steps().len(), "{name}");
             let batched = model
                 .run_batched(std::slice::from_ref(&inputs))
                 .expect(name);
@@ -268,6 +288,19 @@ fn run_paths_agree_bit_for_bit() {
                 "{name}: run_batched vs run_batched_reference"
             );
         }
+    }
+    // At batch 1 a column-major matrix is stored like a row-major one;
+    // at batch 3 `run` must really transpose it.
+    for (name, width) in [("mlp-small", 128), ("mlp-large", 256)] {
+        let model = compile(name, 3, BoltConfig::default());
+        let inputs = vec![Tensor::randn(&[3, width], DType::F16, 8)];
+        let reference = model.plan().run_reference(&inputs).expect(name);
+        let other: Vec<Tensor> = inputs.iter().map(other_layout).collect();
+        assert_eq!(
+            model.run(&other).expect(name),
+            reference,
+            "{name}: column-major batch of 3"
+        );
     }
     partial_batches_agree_bit_for_bit();
 }

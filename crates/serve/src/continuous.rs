@@ -1243,8 +1243,7 @@ mod tests {
         // Ragged max_new: in the cohort, early finishers become padding.
         let prompts = sample_prompts("tiny-lm", 4, PromptLengths::uniform(2, 6), 3).unwrap();
         // Strongly ragged lengths (2, 8, 14, 20): the early finishers sit
-        // dead in the cohort for most of its lifetime, so the structural
-        // waste dwarfs any bucket-placement noise from tuner timing.
+        // dead in the cohort for most of its lifetime.
         let max_new = |i: usize| 2 + i * 6;
         let oracle: Vec<Vec<u32>> = prompts
             .iter()
@@ -1252,12 +1251,29 @@ mod tests {
             .map(|(i, p)| sequential_tokens(std::slice::from_ref(p), max_new(i)).remove(0))
             .collect();
 
+        let names: Vec<String> = (0..2)
+            .flat_map(|l| [qkv_name("tiny-lm", l), post_name("tiny-lm", l)])
+            .chain([lm_head_name("tiny-lm")])
+            .collect();
         let run = |mode: BatchMode| {
             let mut engine = batcher(LlmServeConfig {
                 max_slots: 4,
                 mode,
                 ..LlmServeConfig::default()
             });
+            // Tuned engines for every bucket a launch can need, installed
+            // before the first step: no launch falls back to a padded or
+            // heuristic engine, so each mode's padding follows from its
+            // schedule alone, not from when the tuner hot-swaps a bucket.
+            let registry = Arc::clone(engine.registry());
+            for name in &names {
+                for bucket in [1, 2, 4, 8] {
+                    let (plan, _) = registry.compile_bucket(name, bucket).expect("compiles");
+                    registry
+                        .insert_bucket(name, bucket, plan)
+                        .expect("registered");
+                }
+            }
             for (i, p) in prompts.iter().enumerate() {
                 engine
                     .submit(SequenceRequest {
@@ -1268,6 +1284,11 @@ mod tests {
                     .expect("valid");
             }
             let results = engine.run_to_completion();
+            assert_eq!(
+                engine.stats().fallback_launches,
+                0,
+                "{mode:?}: every launch ran on a tuned engine"
+            );
             let padding = engine.metrics().padding_fraction;
             (results, padding)
         };

@@ -73,7 +73,7 @@ pub use metrics::{KernelStat, KvGovernorSnapshot, LoadGauges, MetricsSnapshot};
 pub use online::{
     Acquired, EngineState, FailedBucket, OnlineConfig, OnlineEngineManager, OnlineSnapshot,
 };
-pub use registry::{EngineRegistry, ModelEngines, Placement};
+pub use registry::{EngineRegistry, ModelEngines};
 pub use request::{InferResponse, LatencyBreakdown, Outcome, RequestHandle};
 pub use server::BoltServer;
 

@@ -511,11 +511,9 @@ impl OnlineEngineManager {
             };
             self.count_fallback(batch, degraded);
             return Ok(Acquired {
-                bucket: placement.bucket,
-                engine: placement.engine,
-                launches: placement.launches,
                 fallback: true,
                 degraded,
+                ..placement
             });
         }
 

@@ -25,25 +25,11 @@ use bolt_tensor::Tensor;
 use parking_lot::RwLock;
 
 use crate::error::ServeError;
+use crate::online::Acquired;
 use crate::Result;
 
 /// A stored graph builder: `batch` → inference graph at that batch size.
 pub type GraphBuilder = Arc<dyn Fn(usize) -> Graph + Send + Sync>;
-
-/// Where a batch runs: which bucket, on which engine, in how many
-/// launches. Produced by [`ModelEngines::placement_for`].
-#[derive(Debug, Clone)]
-pub struct Placement {
-    /// The chosen bucket size.
-    pub bucket: usize,
-    /// The engine compiled for that bucket.
-    pub engine: Arc<ExecutionPlan>,
-    /// How many back-to-back launches serve the batch. `1` when the
-    /// bucket fits the whole batch (padded up); more when the batch
-    /// overflows every compiled bucket and is explicitly split across
-    /// repeated launches of the largest one.
-    pub launches: usize,
-}
 
 /// The compiled engines backing one served model: one immutable
 /// [`ExecutionPlan`] per batch bucket — constants already prepacked into
@@ -113,21 +99,24 @@ impl ModelEngines {
     /// A batch that fits some bucket runs in one launch on the smallest
     /// fitting bucket. A batch larger than every bucket is split into
     /// `ceil(batch / largest)` launches of the largest bucket — reported
-    /// in [`Placement::launches`] so callers can count the overflow
-    /// instead of silently under-pricing it. `None` only when the model
-    /// has no compiled buckets at all.
-    pub fn placement_for(&self, batch: usize) -> Option<Placement> {
-        if let Some((bucket, engine)) = self.engine_for(batch) {
-            return Some(Placement {
-                bucket,
-                engine,
-                launches: 1,
-            });
-        }
-        self.buckets.last().map(|(bucket, engine)| Placement {
-            bucket: *bucket,
-            engine: Arc::clone(engine),
-            launches: batch.div_ceil(*bucket),
+    /// in [`Acquired::launches`] so callers can count the overflow
+    /// instead of silently under-pricing it. The placement is neither a
+    /// fallback nor degraded; the online manager marks its own. `None`
+    /// only when the model has no compiled buckets at all.
+    pub fn placement_for(&self, batch: usize) -> Option<Acquired> {
+        let (bucket, engine, launches) = match self.engine_for(batch) {
+            Some((bucket, engine)) => (bucket, engine, 1),
+            None => {
+                let (bucket, engine) = self.buckets.last()?;
+                (*bucket, Arc::clone(engine), batch.div_ceil(*bucket))
+            }
+        };
+        Some(Acquired {
+            bucket,
+            engine,
+            launches,
+            fallback: false,
+            degraded: false,
         })
     }
 

@@ -11,7 +11,7 @@ use bolt_tensor::Tensor;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::metrics::{LoadGauges, Metrics, MetricsSnapshot};
-use crate::online::{Acquired, OnlineEngineManager};
+use crate::online::OnlineEngineManager;
 use crate::registry::EngineRegistry;
 use crate::request::{
     InferResponse, LatencyBreakdown, Outcome, QueuedRequest, RequestHandle, ResponseSlot,
@@ -465,13 +465,6 @@ fn execute_batch(inner: &Inner, job: &mut BatchJob, busy_until_us: &mut f64) {
         None => job
             .model
             .placement_for(batch)
-            .map(|p| Acquired {
-                bucket: p.bucket,
-                engine: p.engine,
-                launches: p.launches,
-                fallback: false,
-                degraded: false,
-            })
             .ok_or_else(|| ServeError::NoEngine {
                 model: job.model.name().to_string(),
                 reason: "model has no compiled buckets".into(),
