@@ -16,15 +16,19 @@
 //! A third sweep (ISSUE 10) measures the **KV memory governor** under
 //! pressure: the same 32-sequence workload at shrinking block budgets —
 //! unconstrained, moderate, and severe — forcing watermark stalls and
-//! preempt-and-recompute. CI gates that pressure never loses or
-//! duplicates a token, streams stay bit-identical, warm-pool steady
-//! state allocates zero fresh blocks, and goodput at the moderate
-//! budget holds ≥ 0.7× unconstrained.
+//! preempt-and-recompute.
 //!
 //! Results print as tables and are emitted to
 //! `target/experiments/llm_serving.json` and `BENCH_llm.json` at the
-//! workspace root; CI gates on the continuous path scaling from 1 to 32
-//! concurrent sequences and on token conservation.
+//! workspace root. After writing them the run exits 1, naming each
+//! failed condition, when any cold, warm or pressure pass lost or
+//! duplicated a token or diverged from its oracle; when warm continuous
+//! tokens/sec scales less than 2.0x from 1 to 32 sequences; when, at 32
+//! sequences, warm continuous batching falls below the static cohort's
+//! tokens/sec or stops padding less; when a constrained warm pressure
+//! pass never preempts or a warm pressure pass allocates fresh KV
+//! blocks; or when warm goodput at the moderate budget falls below 0.7x
+//! unconstrained. Every gated figure is simulated, none is wall clock.
 //!
 //! Run with: `cargo bench --bench llm_serving`
 
@@ -517,4 +521,77 @@ fn main() {
         println!("wrote {}", path.display());
     }
     write_bench_json("BENCH_llm.json", &json);
+
+    // Gates, on the unrounded figures, after the results are written.
+    let mut failed = Vec::new();
+    let passes = [("cold", &cold), ("warm", &warm)]
+        .into_iter()
+        .flat_map(|(pass, runs)| {
+            runs.iter()
+                .map(move |r| (format!("{pass} {} at {} sequences", r.mode, r.sequences), r))
+        });
+    let pressure = [("cold", &pressure_cold), ("warm", &pressure_warm)]
+        .into_iter()
+        .flat_map(|(pass, runs)| {
+            runs.iter()
+                .map(move |p| (format!("pressure {pass} {} budget", p.budget), &p.run))
+        });
+    for (label, r) in passes.chain(pressure) {
+        if r.lost_tokens != 0 || r.duplicated_tokens != 0 {
+            failed.push(format!(
+                "{label} lost {} and duplicated {} tokens",
+                r.lost_tokens, r.duplicated_tokens
+            ));
+        }
+        if !r.bit_identical {
+            failed.push(format!("{label} diverged from the sequential oracle"));
+        }
+    }
+    let continuous_scaling = scaling(&warm, "continuous");
+    if continuous_scaling < 2.0 {
+        failed.push(format!(
+            "warm continuous tokens/sec scales {continuous_scaling:.3}x from 1 to 32 \
+             sequences, below 2.0x"
+        ));
+    }
+    let at_32 = |mode: &str| {
+        warm.iter()
+            .find(|r| r.mode == mode && r.sequences == 32)
+            .expect("32-sequence point ran")
+    };
+    let (cont, stat) = (at_32("continuous"), at_32("static-cohort"));
+    if cont.tokens_per_sec < stat.tokens_per_sec {
+        failed.push(format!(
+            "warm continuous {:.1} tokens/sec at 32 sequences is below static-cohort {:.1}",
+            cont.tokens_per_sec, stat.tokens_per_sec
+        ));
+    }
+    if cont.padding_fraction >= stat.padding_fraction {
+        failed.push(format!(
+            "warm continuous padding {:.4} at 32 sequences is not below static-cohort {:.4}",
+            cont.padding_fraction, stat.padding_fraction
+        ));
+    }
+    for p in &pressure_warm {
+        if p.kv_budget_blocks.is_some() && p.preemptions == 0 {
+            failed.push(format!("pressure warm {} budget never preempted", p.budget));
+        }
+        if p.fresh_allocations_delta != 0 {
+            failed.push(format!(
+                "pressure warm {} budget allocated {} fresh KV blocks",
+                p.budget, p.fresh_allocations_delta
+            ));
+        }
+    }
+    if goodput_ratio < 0.7 {
+        failed.push(format!(
+            "warm goodput at the moderate budget is {goodput_ratio:.3}x unconstrained, below 0.7x"
+        ));
+    }
+    if !failed.is_empty() {
+        for reason in &failed {
+            eprintln!("gate failed: {reason}");
+        }
+        std::process::exit(1);
+    }
 }

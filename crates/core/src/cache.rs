@@ -1,51 +1,71 @@
-//! Versioned on-disk autotune cache.
+//! Versioned on-disk tune files: one format for the autotune cache and
+//! the shipped multi-architecture bundle.
 //!
 //! Profiled winners survive the process: a compilation session saves its
 //! tuning cache to disk and the next session (same architecture, same
-//! cache schema) starts with every previously-profiled workload already
+//! format version) starts with every previously-profiled workload already
 //! resolved — zero measurements, zero template generation. This is the
 //! persistence half of Bolt's "sample programs are reusable across models
-//! and workloads" claim (Section 3.2.2).
+//! and workloads" claim (Section 3.2.2). The file a session saves is
+//! also the artifact a fleet ships: `bolt-tune` packs the shards of
+//! several architectures into one [`TuneBundle`], and every replica loads
+//! its own architecture's shard from it.
 //!
 //! # Format
 //!
 //! A plain-text, line-oriented format (no external serialization crates):
 //!
 //! ```text
-//! bolt-tune-cache v2 arch=<fnv1a-64 of the architecture description>
+//! bolt-tune-bundle v1
+//! shard arch=<fnv1a-64 fingerprint> entries=<count> name=<arch name>
 //! gemm <problem> | <epilogue> | <winning config> <time-bits> <candidates>
 //! conv <problem> <dtype> | <epilogue> | <winning config> <time-bits> <candidates>
-//! checksum <fnv1a-64 of the entry lines> <entry count>
+//! shard ...
+//! checksum <fnv1a-64 of every line after the header> <line count>
 //! ```
 //!
 //! Floats are encoded as IEEE-754 bit patterns in hex so the round trip
-//! is exact. The header carries two invalidation axes:
+//! is exact. Two axes invalidate tuned winners:
 //!
-//! * **Schema version** ([`SCHEMA_VERSION`]) — bumped whenever the entry
-//!   layout changes; old files are skipped, not misparsed.
-//! * **Architecture fingerprint** ([`arch_fingerprint`]) — a hash of
-//!   every datasheet number of the target [`GpuArch`]. A cache tuned for
-//!   one GPU (or for a re-calibrated model of the same GPU) is invalid
-//!   for another: the winning configs would be stale.
+//! * **Format version** ([`BUNDLE_VERSION`]) — bumped whenever the
+//!   layout changes; files of another version are skipped, not
+//!   misparsed. Readers ignore header tokens after the version. The
+//!   retired single-architecture `bolt-tune-cache` header counts as
+//!   another version.
+//! * **Architecture fingerprint** ([`arch_fingerprint`]) — each shard
+//!   carries a hash of every datasheet and calibration number of the
+//!   [`GpuArch`] it was tuned on. A shard tuned for one GPU (or for a
+//!   re-calibrated model of the same GPU) is never loaded for another:
+//!   the winning configs would be stale.
 //!
-//! A version or architecture mismatch is *not* an error — the cache is
-//! an optimization, so [`BoltProfiler::load_cache`] warns on stderr and
-//! reports zero entries, and the session re-measures and overwrites the
-//! file on save.
+//! [`BoltProfiler::save_cache`] writes the profiler's winners as its
+//! architecture's shard and keeps the other shards of a valid file
+//! already at the path, so a cache shared by several architectures, or
+//! pointed at a shipped bundle, never loses winners it did not produce.
 //!
-//! # Corruption handling
+//! # Strict and lenient readers
 //!
-//! The trailing `checksum` footer covers every entry line, so a torn or
-//! bit-flipped file (crash mid-write on a filesystem without atomic
-//! rename, disk corruption, a truncated copy) is *detected* rather than
-//! misparsed. Structural corruption — missing/mismatched footer, an
-//! undecodable entry, a malformed header — does not abort the session:
-//! [`BoltProfiler::load_cache`] **quarantines** the file (renames it to
-//! `<name>.corrupt`, preserving the evidence), warns on stderr, and
-//! reports zero entries.
-//! The session warm-starts empty and the next save rebuilds a clean
-//! cache at the original path. Only real I/O failures (permissions,
-//! unreadable file) propagate as errors.
+//! [`TuneBundle::read`] is strict: a missing file, another format
+//! version ([`io::ErrorKind::Unsupported`]) or corruption
+//! ([`io::ErrorKind::InvalidData`]) is an error. That is the tooling and
+//! fleet path, where an ignored file would hide a misconfiguration.
+//! [`BoltProfiler::load_cache`] is lenient, because the cache is only an
+//! optimization:
+//!
+//! * Another format version, or no shard for the profiler's
+//!   architecture, warns on stderr and loads nothing. The file stays in
+//!   place; the next save replaces a file of another version and adds
+//!   this architecture's shard to a bundle.
+//! * Structural corruption — a missing or mismatched `checksum` footer,
+//!   an undecodable line, a malformed header — **quarantines** the file:
+//!   it is renamed to `<name>.corrupt` (preserving the evidence), a
+//!   warning is printed, and nothing is loaded. The footer covers every
+//!   line, so a torn or bit-flipped file (crash mid-write on a filesystem
+//!   without atomic rename, disk corruption, a truncated copy) is
+//!   detected rather than misparsed, and entries are only installed
+//!   after the whole file validates. The next save rebuilds a clean file
+//!   at the original path.
+//! * Only real I/O failures (permissions, unreadable file) propagate.
 
 use std::io;
 use std::path::Path;
@@ -57,9 +77,9 @@ use bolt_tensor::{Activation, DType, MatrixLayout};
 
 use crate::profiler::{BoltProfiler, Epilogue2, Key, ProfiledKernel};
 
-/// Cache schema version; bump on any change to the entry layout.
-/// v2 added the `checksum` footer line.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Tune-file format version; bump on any change to the header, shard or
+/// entry line layout.
+pub const BUNDLE_VERSION: u32 = 1;
 
 /// FNV-1a fingerprint of an architecture's full datasheet description.
 ///
@@ -126,54 +146,28 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn header(arch: &GpuArch) -> String {
-    // The trailing `name=` token is advisory (diagnostics for `bolt-tune
-    // inspect`); readers key off the fingerprint and ignore unknown
-    // header tokens, so adding it did not bump the schema version.
-    format!(
-        "bolt-tune-cache v{} arch={:016x} name={}",
-        SCHEMA_VERSION,
-        arch_fingerprint(arch),
-        arch.name
-    )
-}
-
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes the profiler's resolved entries to `path`, creating parent
-/// directories as needed. Output is sorted, so identical caches produce
-/// byte-identical files.
-///
-/// The write is **atomic**: the cache is staged in a uniquely-named
-/// sibling temp file and `rename`d into place, so a reader (or a crash)
-/// never observes a torn file — concurrent savers race benignly, with
-/// the last complete rename winning. This matters once online tuning
-/// saves the cache after every background compile while other
-/// processes load it.
+fn unsupported(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::Unsupported, msg)
+}
+
+/// Writes the profiler's resolved entries to `path` as its
+/// architecture's shard of a tune bundle. The other shards of a valid
+/// bundle already at `path` are kept; any other file there is replaced.
+/// Output is canonical, so identical caches produce byte-identical
+/// files, and the write is atomic ([`atomic_write`]).
 pub(crate) fn save(profiler: &BoltProfiler, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut lines: Vec<String> = profiler
-        .entries()
-        .iter()
-        .map(|(key, kernel)| encode_entry(key, kernel))
-        .collect();
-    lines.sort_unstable();
-    let mut out = header(profiler.arch());
-    out.push('\n');
-    let mut body = String::new();
-    for line in &lines {
-        body.push_str(line);
-        body.push('\n');
-    }
-    out.push_str(&body);
-    out.push_str(&footer(&body, lines.len()));
-    out.push('\n');
+    let shard = TuneShard::from_profiler(profiler);
+    let mut bundle = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| TuneBundle::parse(&text).ok())
+        .unwrap_or_default();
+    bundle.shards.retain(|s| s.arch != shard.arch);
+    bundle.shards.push(shard);
+    let mut out = bundle.to_string_canonical();
 
     // Chaos: simulate a crash mid-write by truncating the staged bytes.
     // The checksum footer is what lets the next load catch this.
@@ -184,11 +178,18 @@ pub(crate) fn save(profiler: &BoltProfiler, path: &Path) -> io::Result<()> {
     atomic_write(path, &out)
 }
 
-/// Stages `contents` in a uniquely-named sibling temp file and `rename`s
-/// it into place: readers and crashes never observe a torn file, and
-/// concurrent writers race benignly with the last complete rename
-/// winning.
+/// Creates `path`'s parent directories, stages `contents` in a
+/// uniquely-named sibling temp file and `rename`s it into place: readers
+/// and crashes never observe a torn file, and concurrent writers race
+/// benignly with the last complete rename winning. This matters once
+/// online tuning saves the cache after every background compile while
+/// other processes load it.
 fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
     // Unique per process *and* per call, so concurrent savers never
     // stage into the same temp file.
     static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -205,134 +206,43 @@ fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     })
 }
 
-/// Loads entries from `path` into the profiler's cache, returning the
-/// number of entries merged.
+/// Loads the shard for the profiler's architecture from the tune file at
+/// `path`, returning the number of entries merged.
 ///
-/// * Version or architecture mismatches warn and return `Ok(0)` — the
-///   file is left in place (it is valid, just not for us).
-/// * Structural corruption (bad header, undecodable entry, missing or
-///   mismatched `checksum` footer) **quarantines** the file: it is
-///   renamed to `<name>.corrupt`, a warning is printed, and `Ok(0)` is
-///   returned so the session warm-starts empty and rebuilds the cache
-///   on its next save. Nothing is merged from a corrupt file — entries
-///   are only installed after the whole file validates.
+/// * Another format version, or no shard for this architecture, warns
+///   and returns `Ok(0)` — the file is left in place (it is valid, just
+///   not for us).
+/// * Structural corruption **quarantines** the file: it is renamed to
+///   `<name>.corrupt`, a warning is printed, and `Ok(0)` is returned so
+///   the session warm-starts empty and rebuilds the file on its next
+///   save. Nothing is merged from a corrupt file.
 /// * Real I/O failures (unreadable file, permissions) propagate.
 pub(crate) fn load(profiler: &BoltProfiler, path: &Path) -> io::Result<usize> {
     let text = std::fs::read_to_string(path)?;
-    match parse(profiler, &text, path) {
-        Ok(Parsed::Mismatch) => Ok(0),
-        Ok(Parsed::Entries(entries)) => {
-            let count = entries.len();
-            for (key, kernel) in entries {
-                profiler.insert_entry(key, kernel);
-            }
-            Ok(count)
+    let bundle = match TuneBundle::parse(&text) {
+        Ok(bundle) => bundle,
+        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+            eprintln!("warning: ignoring tune cache {}: {e}", path.display());
+            return Ok(0);
         }
-        Err(reason) => quarantine(path, &reason),
-    }
-}
-
-enum Parsed {
-    /// Valid file for a different schema version or architecture.
-    Mismatch,
-    /// Fully validated entries, ready to merge.
-    Entries(Vec<(Key, ProfiledKernel)>),
-}
-
-/// A parsed single-shard cache header: schema version string, arch
-/// fingerprint, and the advisory arch name (empty for files written
-/// before the `name=` token existed). Unknown trailing tokens are
-/// ignored, so the header can grow without a schema bump.
-struct CacheHeader {
-    version: String,
-    arch: u64,
-    name: String,
-}
-
-fn parse_header(head: &str) -> Result<CacheHeader, io::Error> {
-    let mut tokens = head.split_whitespace();
-    if tokens.next() != Some("bolt-tune-cache") {
-        return Err(invalid("not a bolt tune cache"));
-    }
-    let version = tokens
-        .next()
-        .ok_or_else(|| invalid("missing cache version"))?
-        .to_string();
-    let arch_hex = tokens
-        .next()
-        .and_then(|t| t.strip_prefix("arch="))
-        .ok_or_else(|| invalid("missing arch fingerprint"))?;
-    let arch =
-        u64::from_str_radix(arch_hex, 16).map_err(|_| invalid("malformed arch fingerprint"))?;
-    // The name may contain spaces, so it is everything after `name=`.
-    let name = head
-        .split_once(" name=")
-        .map(|(_, n)| n.trim().to_string())
-        .unwrap_or_default();
-    Ok(CacheHeader {
-        version,
-        arch,
-        name,
-    })
-}
-
-/// Walks the entry lines after a header, validating the `checksum`
-/// footer; any `Err` means structural corruption.
-fn parse_entry_block<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<Vec<(Key, ProfiledKernel)>, io::Error> {
-    let mut entries = Vec::new();
-    let mut body = String::new();
-    let mut footer_line = None;
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if footer_line.is_some() {
-            return Err(invalid("entries after checksum footer"));
-        }
-        if line.starts_with("checksum ") {
-            footer_line = Some(line);
-            continue;
-        }
-        let (key, kernel) = decode_entry(line)
-            .ok_or_else(|| invalid(format!("corrupt tune cache entry: {line:?}")))?;
-        body.push_str(line);
-        body.push('\n');
-        entries.push((key, kernel));
-    }
-    let footer_line = footer_line.ok_or_else(|| invalid("missing checksum footer (truncated?)"))?;
-    if footer_line != footer(&body, entries.len()) {
-        return Err(invalid("checksum footer does not match entries"));
-    }
-    Ok(entries)
-}
-
-/// Validates `text` end to end; any `Err` means structural corruption.
-fn parse(profiler: &BoltProfiler, text: &str, path: &Path) -> Result<Parsed, io::Error> {
-    let mut lines = text.lines();
-    let head = lines.next().ok_or_else(|| invalid("empty tune cache"))?;
-    let header = parse_header(head)?;
-    if header.version != format!("v{SCHEMA_VERSION}") {
+        Err(e) => return quarantine(path, &e),
+    };
+    let arch = profiler.arch();
+    let Some(shard) = bundle.shard_for(arch_fingerprint(arch)) else {
         eprintln!(
-            "warning: ignoring tune cache {}: schema {} (expected v{})",
+            "warning: ignoring tune cache {}: no shard tuned for {}",
             path.display(),
-            header.version,
-            SCHEMA_VERSION
+            arch.name
         );
-        return Ok(Parsed::Mismatch);
+        return Ok(0);
+    };
+    for (key, kernel) in shard.entries() {
+        profiler.insert_entry(*key, *kernel);
     }
-    if header.arch != arch_fingerprint(profiler.arch()) {
-        eprintln!(
-            "warning: ignoring tune cache {}: tuned for a different architecture",
-            path.display()
-        );
-        return Ok(Parsed::Mismatch);
-    }
-    Ok(Parsed::Entries(parse_entry_block(lines)?))
+    Ok(shard.len())
 }
 
-/// The integrity footer covering the newline-joined entry `body`.
+/// The integrity footer covering the newline-joined `body` lines.
 fn footer(body: &str, count: usize) -> String {
     format!("checksum {:016x} {count}", fnv1a(body.as_bytes()))
 }
@@ -363,18 +273,19 @@ fn quarantine(path: &Path, reason: &io::Error) -> io::Result<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Shards and bundles: the shippable multi-arch store
+// Shards and bundles
 // ---------------------------------------------------------------------------
 
 /// One architecture's worth of tuned winners, decoupled from a live
-/// profiler — the unit `bolt-tune` packs, merges, and ships. A shard is
-/// what [`BoltProfiler::save_cache`] writes for a single arch; a [`TuneBundle`] holds one
-/// shard per architecture fingerprint.
+/// profiler — the unit `bolt-tune` packs, merges, and ships. A
+/// [`TuneBundle`] holds one shard per architecture fingerprint; the file
+/// [`BoltProfiler::save_cache`] writes is a bundle holding the
+/// profiler's shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneShard {
     arch: u64,
     /// Advisory arch name (e.g. `"Tesla T4"`); empty when the source
-    /// file predates the `name=` header token.
+    /// file did not carry one.
     name: String,
     entries: Vec<(Key, ProfiledKernel)>,
 }
@@ -383,11 +294,6 @@ impl TuneShard {
     /// The architecture fingerprint this shard was tuned for.
     pub fn arch_fingerprint(&self) -> u64 {
         self.arch
-    }
-
-    /// The advisory architecture name (may be empty for old files).
-    pub fn arch_name(&self) -> &str {
-        &self.name
     }
 
     /// Human-readable identity: the name when known, else the
@@ -424,57 +330,6 @@ impl TuneShard {
         &self.entries
     }
 
-    /// Reads a single-shard cache file **strictly**: a missing file,
-    /// wrong schema version, or structural corruption is an error, never
-    /// a silent empty result — this is the tooling/shipping path, where
-    /// an ignored file would hide a fleet misconfiguration.
-    pub fn read(path: &Path) -> io::Result<TuneShard> {
-        let text = std::fs::read_to_string(path)?;
-        let mut lines = text.lines();
-        let head = lines.next().ok_or_else(|| invalid("empty tune cache"))?;
-        let header = parse_header(head)?;
-        if header.version != format!("v{SCHEMA_VERSION}") {
-            return Err(invalid(format!(
-                "schema {} (this build reads v{SCHEMA_VERSION})",
-                header.version
-            )));
-        }
-        let mut shard = TuneShard {
-            arch: header.arch,
-            name: header.name,
-            entries: parse_entry_block(lines)?,
-        };
-        shard.sort();
-        Ok(shard)
-    }
-
-    /// Writes the shard as a standalone single-arch cache file — the
-    /// inverse of [`TuneShard::read`], used by `bolt-tune extract` to
-    /// pull one architecture back out of a packed bundle. The output is
-    /// a regular v2 cache any profiler of the matching arch can load.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut canonical = self.clone();
-        canonical.sort();
-        let mut out = format!(
-            "bolt-tune-cache v{SCHEMA_VERSION} arch={:016x} name={}\n",
-            canonical.arch, canonical.name
-        );
-        let mut body = String::new();
-        for line in canonical.encoded_lines() {
-            body.push_str(&line);
-            body.push('\n');
-        }
-        out.push_str(&body);
-        out.push_str(&footer(&body, canonical.len()));
-        out.push('\n');
-        atomic_write(path, &out)
-    }
-
     /// Merges `other` into this shard, keeping the **faster winner** per
     /// workload key (strictly lower simulated time replaces; ties keep
     /// the incumbent). Entries for new keys are appended. Both shards
@@ -504,31 +359,10 @@ impl TuneShard {
         self.entries
             .sort_by_cached_key(|(key, kernel)| encode_entry(key, kernel));
     }
-
-    fn encoded_lines(&self) -> Vec<String> {
-        self.entries
-            .iter()
-            .map(|(key, kernel)| encode_entry(key, kernel))
-            .collect()
-    }
 }
 
-/// Bundle schema version; independent of the per-shard entry schema
-/// ([`SCHEMA_VERSION`]), which governs the entry lines inside.
-pub const BUNDLE_VERSION: u32 = 1;
-
 /// A multi-architecture tune bundle: one [`TuneShard`] per arch
-/// fingerprint, packed into a single shippable file.
-///
-/// # Format
-///
-/// ```text
-/// bolt-tune-bundle v1 entries=v2
-/// shard arch=<fnv1a-64> entries=<count> name=<arch name>
-/// <entry lines, same codec as the single-shard cache>
-/// shard ...
-/// checksum <fnv1a-64 of every line above, after the header> <line count>
-/// ```
+/// fingerprint, in the tune-file format of [`crate::cache`].
 ///
 /// Writing is deterministic — shards sorted by (name, fingerprint),
 /// entries in canonical order — so pack → ship → load → re-pack round
@@ -583,20 +417,36 @@ impl TuneBundle {
             .sort_by(|a, b| (&a.name, a.arch).cmp(&(&b.name, b.arch)));
     }
 
-    /// Reads a bundle file **strictly** (same rules as
-    /// [`TuneShard::read`]: corruption and version skew are errors).
+    /// Reads a tune file **strictly**: a missing file is an I/O error,
+    /// another format version is [`io::ErrorKind::Unsupported`] and
+    /// structural corruption is [`io::ErrorKind::InvalidData`] — never a
+    /// silent empty result.
     pub fn read(path: &Path) -> io::Result<TuneBundle> {
-        let text = std::fs::read_to_string(path)?;
+        TuneBundle::parse(&std::fs::read_to_string(path)?)
+    }
+
+    /// Validates `text` end to end. A recognised header of another
+    /// version (`bolt-tune-bundle vN`, or the retired single-arch
+    /// `bolt-tune-cache`) is `Unsupported`; any other failure is
+    /// structural corruption, `InvalidData`.
+    fn parse(text: &str) -> io::Result<TuneBundle> {
         let mut lines = text.lines();
-        let head = lines.next().ok_or_else(|| invalid("empty tune bundle"))?;
+        let head = lines.next().ok_or_else(|| invalid("empty tune file"))?;
         let mut tokens = head.split_whitespace();
-        if tokens.next() != Some("bolt-tune-bundle") {
-            return Err(invalid("not a bolt tune bundle"));
+        match tokens.next() {
+            Some("bolt-tune-bundle") => {}
+            Some("bolt-tune-cache") => {
+                return Err(unsupported(format!(
+                    "retired single-arch bolt-tune-cache format (this build reads \
+                     bolt-tune-bundle v{BUNDLE_VERSION})"
+                )))
+            }
+            _ => return Err(invalid("not a bolt tune file")),
         }
         match tokens.next() {
             Some(v) if v == format!("v{BUNDLE_VERSION}") => {}
             Some(v) => {
-                return Err(invalid(format!(
+                return Err(unsupported(format!(
                     "bundle schema {v} (this build reads v{BUNDLE_VERSION})"
                 )))
             }
@@ -656,7 +506,7 @@ impl TuneBundle {
                     TuneShard {
                         arch,
                         name,
-                        entries: Vec::with_capacity(expected),
+                        entries: Vec::new(),
                     },
                     expected,
                 ));
@@ -675,24 +525,6 @@ impl TuneBundle {
         Ok(bundle)
     }
 
-    /// Reads either a bundle **or** a single-shard cache file, wrapping
-    /// the latter as a one-shard bundle — so `bolt-tune pack` accepts
-    /// both per-arch shards and previously packed bundles as inputs.
-    pub fn read_any(path: &Path) -> io::Result<TuneBundle> {
-        let first = {
-            let text = std::fs::read_to_string(path)?;
-            text.lines().next().unwrap_or_default().to_string()
-        };
-        if first.starts_with("bolt-tune-bundle") {
-            TuneBundle::read(path)
-        } else {
-            let shard = TuneShard::read(path)?;
-            let mut bundle = TuneBundle::new();
-            bundle.absorb(shard);
-            Ok(bundle)
-        }
-    }
-
     /// Serializes the bundle to its canonical byte representation.
     pub fn to_string_canonical(&self) -> String {
         let mut canonical = self.clone();
@@ -707,13 +539,13 @@ impl TuneBundle {
                 shard.name
             ));
             count += 1;
-            for line in shard.encoded_lines() {
-                body.push_str(&line);
+            for (key, kernel) in &shard.entries {
+                body.push_str(&encode_entry(key, kernel));
                 body.push('\n');
                 count += 1;
             }
         }
-        let mut out = format!("bolt-tune-bundle v{BUNDLE_VERSION} entries=v{SCHEMA_VERSION}\n");
+        let mut out = format!("bolt-tune-bundle v{BUNDLE_VERSION}\n");
         out.push_str(&body);
         out.push_str(&footer(&body, count));
         out.push('\n');
@@ -724,11 +556,6 @@ impl TuneBundle {
     /// parent directories as needed. Deterministic: the same shards
     /// always produce byte-identical files.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
         atomic_write(path, &self.to_string_canonical())
     }
 }
@@ -910,8 +737,8 @@ fn next_usize<'a>(t: &mut impl Iterator<Item = &'a str>) -> Option<usize> {
 }
 
 // Local name<->enum tables: the vendored serde is derive-only (offline
-// build), so enum spelling is pinned here and guarded by the schema
-// version above.
+// build), so enum spelling is pinned here and guarded by
+// `BUNDLE_VERSION`.
 
 fn dtype_str(d: DType) -> &'static str {
     match d {

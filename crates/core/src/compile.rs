@@ -29,13 +29,14 @@ impl BoltCompiler {
     /// multi-arch bundle, the shard matching `arch` is loaded first —
     /// the fleet warm-boot path, one shipped artifact serving replicas
     /// of every architecture. Then, if `config.cache_path` (or
-    /// `BOLT_TUNE_CACHE`) names an existing autotune cache file, it is
-    /// loaded so compilation starts warm. A missing cache file is normal
-    /// (first run); an invalid one — corrupt, wrong schema version, or
-    /// tuned for a different architecture — degrades to a warning and a
-    /// cold start, never a failure. Bundle problems also degrade to a
-    /// warning here; fleet code that *requires* the warm boot validates
-    /// the bundle strictly before launch (typed
+    /// `BOLT_TUNE_CACHE`) names an existing tune file, its shard for
+    /// `arch` is loaded so compilation starts warm. The cache is a tune
+    /// bundle too, so it may be a copy of the shipped one. A missing
+    /// cache file is normal (first run); an unusable one — corrupt,
+    /// another format version, or with no shard for `arch` — degrades to
+    /// a warning and a cold start, never a failure. Bundle problems also
+    /// degrade to a warning here; fleet code that *requires* the warm
+    /// boot validates the bundle strictly before launch (typed
     /// [`crate::BoltError::CacheArchMismatch`]) via
     /// [`BoltProfiler::load_bundle`].
     pub fn new(arch: GpuArch, config: BoltConfig) -> Self {

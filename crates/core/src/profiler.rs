@@ -485,12 +485,13 @@ impl BoltProfiler {
         let _ = slot.set(Some(value));
     }
 
-    /// Persists the tuning cache to `path` in the versioned on-disk
-    /// format of [`crate::cache`]. Persisting and re-loading the cache
-    /// across processes is what makes Bolt's sample programs "reusable
-    /// across models and workloads" (Section 3.2.2) — a new compilation
-    /// session starts with every previously-profiled workload already
-    /// resolved.
+    /// Persists the tuning cache to `path` as this architecture's shard
+    /// of a tune bundle ([`crate::cache`]), keeping the other
+    /// architectures' shards of a valid bundle already there. Persisting
+    /// and re-loading the cache across processes is what makes Bolt's
+    /// sample programs "reusable across models and workloads" (Section
+    /// 3.2.2) — a new compilation session starts with every
+    /// previously-profiled workload already resolved.
     ///
     /// # Errors
     ///
@@ -499,14 +500,15 @@ impl BoltProfiler {
         crate::cache::save(self, path)
     }
 
-    /// Loads a tuning cache previously written by
-    /// [`BoltProfiler::save_cache`], merging it into this profiler's
-    /// cache. Returns the number of entries loaded; entries written for a
-    /// different architecture or cache schema version are skipped (the
-    /// file is treated as empty). A structurally corrupt file — torn
-    /// write, checksum mismatch, undecodable entry — is quarantined to
-    /// `<name>.corrupt` and treated as empty, so a warm start survives
-    /// corruption and the next save rebuilds the cache.
+    /// Loads this architecture's shard of a tune file (a cache written by
+    /// [`BoltProfiler::save_cache`] or a packed bundle), merging it into
+    /// this profiler's cache. Returns the number of entries loaded; a
+    /// file of another format version, or with no shard for this
+    /// architecture, is skipped and left in place. A structurally
+    /// corrupt file — torn write, checksum mismatch, undecodable entry —
+    /// is quarantined to `<name>.corrupt` and treated as empty, so a
+    /// warm start survives corruption and the next save rebuilds the
+    /// cache.
     ///
     /// # Errors
     ///
@@ -523,71 +525,21 @@ impl BoltProfiler {
         crate::cache::TuneShard::from_profiler(self)
     }
 
-    /// Merges a [`TuneShard`](crate::cache::TuneShard) into this
-    /// profiler's cache. Entries
-    /// already resolved in this process win over the shard's.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::BoltError::CacheArchMismatch`] when the shard was tuned
-    /// for a different architecture — strict by design: shards are
-    /// shipped artifacts, and loading a V100 shard into a T4 profiler is
-    /// a fleet misconfiguration, not an ignorable cache miss.
-    pub fn load_shard(&self, shard: &crate::cache::TuneShard) -> crate::Result<usize> {
-        let want = crate::cache::arch_fingerprint(&self.arch);
-        if shard.arch_fingerprint() != want {
-            return Err(crate::BoltError::CacheArchMismatch {
-                path: String::new(),
-                expected: format!("{} ({want:016x})", self.arch.name),
-                found: shard.describe(),
-            });
-        }
-        let entries = shard.entries();
-        for (key, kernel) in entries {
-            self.insert_entry(*key, *kernel);
-        }
-        Ok(entries.len())
-    }
-
-    /// Strictly loads a single-shard cache file written by
-    /// [`BoltProfiler::save_cache`]: unlike the lenient
-    /// [`BoltProfiler::load_cache`], a missing/corrupt file or an
-    /// arch/schema mismatch is a typed error, never a silent empty load.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::BoltError::CacheLoad`] for I/O or validation failures,
-    /// [`crate::BoltError::CacheArchMismatch`] for a wrong-arch shard.
-    pub fn load_shard_strict(&self, path: &std::path::Path) -> crate::Result<usize> {
-        let shard =
-            crate::cache::TuneShard::read(path).map_err(|e| crate::BoltError::CacheLoad {
-                path: path.display().to_string(),
-                reason: e.to_string(),
-            })?;
-        self.load_shard(&shard).map_err(|e| match e {
-            crate::BoltError::CacheArchMismatch {
-                expected, found, ..
-            } => crate::BoltError::CacheArchMismatch {
-                path: path.display().to_string(),
-                expected,
-                found,
-            },
-            other => other,
-        })
-    }
-
-    /// Loads the shard matching this profiler's architecture from a
-    /// packed multi-arch bundle ([`crate::cache::TuneBundle`]). This is
-    /// the fleet warm-boot path: one shipped bundle serves every
-    /// replica, each picking its own arch's shard, so a fresh replica of
-    /// *any* architecture boots with zero measurements — and therefore
-    /// zero tuning seconds.
+    /// Strictly loads the shard matching this profiler's architecture
+    /// from a tune bundle ([`crate::cache::TuneBundle`]). This is the
+    /// fleet warm-boot path: one shipped bundle serves every replica,
+    /// each picking its own arch's shard, so a fresh replica of *any*
+    /// architecture boots with zero measurements — and therefore zero
+    /// tuning seconds. Entries already resolved in this process win over
+    /// the shard's.
     ///
     /// # Errors
     ///
     /// [`crate::BoltError::CacheLoad`] for I/O or validation failures,
     /// [`crate::BoltError::CacheArchMismatch`] when the bundle holds no
-    /// shard for this architecture (the error lists what it does hold).
+    /// shard for this architecture (the error lists what it does hold) —
+    /// strict by design: loading a V100 shard into a T4 profiler is a
+    /// fleet misconfiguration, not an ignorable cache miss.
     pub fn load_bundle(&self, path: &std::path::Path) -> crate::Result<usize> {
         let bundle =
             crate::cache::TuneBundle::read(path).map_err(|e| crate::BoltError::CacheLoad {
@@ -612,7 +564,10 @@ impl BoltProfiler {
                 found,
             });
         };
-        self.load_shard(shard)
+        for (key, kernel) in shard.entries() {
+            self.insert_entry(*key, *kernel);
+        }
+        Ok(shard.len())
     }
 
     /// The best conv config wrapped as a [`Conv2dConfig`].

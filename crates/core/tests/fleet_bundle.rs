@@ -57,9 +57,11 @@ fn wrong_arch_shard_is_rejected_with_typed_mismatch() {
     v100.compile(&mlp()).unwrap();
     v100.profiler().save_cache(&shard_path).unwrap();
 
-    // Strict single-shard load into a T4 profiler: typed rejection.
+    // The saved V100 cache is a bundle holding only the V100 shard. A
+    // strict load into a T4 profiler is a typed rejection, and the error
+    // says what the bundle does contain.
     let t4 = tuned_compiler(GpuArch::tesla_t4());
-    match t4.profiler().load_shard_strict(&shard_path) {
+    match t4.profiler().load_bundle(&shard_path) {
         Err(BoltError::CacheArchMismatch {
             expected, found, ..
         }) => {
@@ -77,21 +79,7 @@ fn wrong_arch_shard_is_rejected_with_typed_mismatch() {
         "nothing may be merged from a wrong-arch shard: T4 must still tune"
     );
 
-    // A bundle holding only the V100 shard is just as loudly rejected,
-    // and the error says what the bundle does contain.
-    let bundle_path = tmp("v100_only.bundle");
-    let mut bundle = TuneBundle::new();
-    bundle.absorb_bundle(TuneBundle::read_any(&shard_path).unwrap());
-    bundle.write(&bundle_path).unwrap();
-    match t4.profiler().load_bundle(&bundle_path) {
-        Err(BoltError::CacheArchMismatch { found, .. }) => {
-            assert!(found.contains("Tesla V100"), "{found}");
-        }
-        other => panic!("expected CacheArchMismatch, got {other:?}"),
-    }
-
     let _ = std::fs::remove_file(&shard_path);
-    let _ = std::fs::remove_file(&bundle_path);
 }
 
 #[test]
@@ -126,7 +114,7 @@ fn packed_bundle_cold_boots_every_arch_with_zero_tuning_seconds() {
     for arch in [GpuArch::tesla_t4(), GpuArch::tesla_v100(), GpuArch::a100()] {
         let name = arch.name.clone();
         let warm = BoltCompiler::new(
-            arch,
+            arch.clone(),
             BoltConfig {
                 profiler_candidates: 12,
                 bundle_path: Some(bundle_path.clone()),
@@ -142,6 +130,40 @@ fn packed_bundle_cold_boots_every_arch_with_zero_tuning_seconds() {
             model.tuning.tuning_seconds, 0.0,
             "{name}: bundle boot must report zero tuning seconds"
         );
+
+        // The shipped bundle also serves as a writable cache: the boot
+        // loads this arch's shard, and the compile's save keeps every
+        // other arch's shard, so the file comes back byte for byte.
+        let cache_path = tmp("fleet_as_cache.bundle");
+        let mut corrupt_name = cache_path.file_name().unwrap().to_os_string();
+        corrupt_name.push(".corrupt");
+        let corrupt = cache_path.with_file_name(corrupt_name);
+        let _ = std::fs::remove_file(&corrupt);
+        std::fs::copy(&bundle_path, &cache_path).unwrap();
+        let cached = BoltCompiler::new(
+            arch,
+            BoltConfig {
+                profiler_candidates: 12,
+                cache_path: Some(cache_path.clone()),
+                ..BoltConfig::default()
+            },
+        );
+        let model = cached.compile(&graph).unwrap();
+        assert_eq!(
+            model.tuning.measurements, 0,
+            "{name}: cache boot from the bundle must not measure"
+        );
+        assert_eq!(
+            model.tuning.tuning_seconds, 0.0,
+            "{name}: cache boot from the bundle must report zero tuning seconds"
+        );
+        assert!(!corrupt.exists(), "{name}: the bundle was quarantined");
+        assert_eq!(
+            std::fs::read(&cache_path).unwrap(),
+            std::fs::read(&bundle_path).unwrap(),
+            "{name}: the compile's save must keep every arch's shard"
+        );
+        let _ = std::fs::remove_file(&cache_path);
     }
     let _ = std::fs::remove_file(&bundle_path);
 }

@@ -203,7 +203,10 @@ fn corrupt_cache_is_quarantined_and_rebuilt() {
     assert!(corrupt.exists(), "evidence preserved as *.corrupt");
 
     // A bad entry under a valid header is also corrupt.
-    let header = format!("bolt-tune-cache v2 arch={:016x}\n", arch_fingerprint(&t4()));
+    let header = format!(
+        "bolt-tune-bundle v1\nshard arch={:016x} entries=1 name=Tesla T4\n",
+        arch_fingerprint(&t4())
+    );
     std::fs::write(&path, format!("{header}gemm 1 2 not-a-number\n")).unwrap();
     assert_eq!(profiler.load_cache(&path).unwrap(), 0);
     assert!(!path.exists());
@@ -245,17 +248,23 @@ fn corrupt_cache_is_quarantined_and_rebuilt() {
 #[test]
 fn version_mismatched_cache_is_skipped_without_error() {
     let path = scratch("version.tune");
-    let header = format!(
-        "bolt-tune-cache v999 arch={:016x}\n",
-        arch_fingerprint(&t4())
-    );
-    std::fs::write(&path, header).unwrap();
-    let profiler = BoltProfiler::new(&t4(), 20);
-    assert_eq!(
-        profiler.load_cache(&path).unwrap(),
-        0,
-        "future schema loads zero entries"
-    );
+    // A future bundle version, and the retired single-arch cache format.
+    for header in [
+        format!(
+            "bolt-tune-bundle v999\nshard arch={:016x} entries=0 name=Tesla T4\n",
+            arch_fingerprint(&t4())
+        ),
+        format!("bolt-tune-cache v2 arch={:016x}\n", arch_fingerprint(&t4())),
+    ] {
+        std::fs::write(&path, &header).unwrap();
+        let profiler = BoltProfiler::new(&t4(), 20);
+        assert_eq!(
+            profiler.load_cache(&path).unwrap(),
+            0,
+            "another format version loads zero entries: {header:?}"
+        );
+        assert!(path.exists(), "a valid file of another version stays put");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

@@ -71,7 +71,7 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bolt-cli models\n  bolt-cli compile <model> [--batch N] [--emit] [--timeline out.csv] [--cache cache.json] [--arch t4|v100|a100]\n  bolt-cli ansor <model> [--batch N] [--trials N] [--arch ...]\n  bolt-cli gemm <M> <N> <K> [--batch B] [--arch ...]\n\nmodels: {}",
+        "usage:\n  bolt-cli models\n  bolt-cli compile <model> [--batch N] [--emit] [--timeline out.csv] [--cache autotune.tune] [--arch t4|v100|a100]\n  bolt-cli ansor <model> [--batch N] [--trials N] [--arch ...]\n  bolt-cli gemm <M> <N> <K> [--batch B] [--arch ...]\n\nmodels: {}",
         FIGURE10_MODELS.join(", ")
     );
     ExitCode::FAILURE

@@ -1,20 +1,23 @@
 //! Fleet tooling for portable autotune caches.
 //!
 //! ```text
-//! bolt-tune pack fleet.bundle t4.cache a100.cache    pack per-arch shards into one bundle
-//! bolt-tune merge fleet.bundle fresh.cache           fold new winners into an existing bundle
-//! bolt-tune inspect fleet.bundle                     per-arch shard summary
-//! bolt-tune extract fleet.bundle t4.cache --arch t4  pull one arch back out as a plain cache
+//! bolt-tune pack fleet.bundle t4.tune a100.tune     pack per-arch caches into one bundle
+//! bolt-tune merge fleet.bundle fresh.tune           fold new winners into an existing bundle
+//! bolt-tune inspect fleet.bundle                    per-arch shard summary
+//! bolt-tune extract fleet.bundle t4.tune --arch t4  pull one arch back out as a one-shard bundle
 //! ```
 //!
-//! `pack` and `merge` accept any mix of single-arch cache files and
-//! previously packed bundles; overlapping shards keep the **faster
-//! winner** per workload, so repeated tuning sessions fold together
-//! without ever regressing a kernel choice. Output files are canonical:
-//! the same shards always produce byte-identical bytes, making bundles
-//! diffable and safe to ship through content-addressed stores.
+//! Every input and output is a tune bundle ([`bolt::cache`]): a cache
+//! written by `bolt-cli --cache` is a bundle holding one architecture's
+//! shard, so `pack` and `merge` accept caches and packed bundles alike,
+//! and `extract` writes the same bytes that cache would hold.
+//! Overlapping shards keep the **faster winner** per workload, so
+//! repeated tuning sessions fold together without ever regressing a
+//! kernel choice. Output files are canonical: the same shards always
+//! produce byte-identical bytes, making bundles diffable and safe to
+//! ship through content-addressed stores.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use bolt::{arch_fingerprint, TuneBundle};
@@ -54,18 +57,18 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bolt-tune pack <out.bundle> <cache-or-bundle>...\n  bolt-tune merge <bundle> <cache-or-bundle>...\n  bolt-tune inspect <cache-or-bundle>\n  bolt-tune extract <bundle> <out.cache> --arch <{}>",
+        "usage:\n  bolt-tune pack <out.bundle> <tune-file>...\n  bolt-tune merge <bundle> <tune-file>...\n  bolt-tune inspect <tune-file>\n  bolt-tune extract <bundle> <out.tune> --arch <{}>",
         GpuArch::PRESET_NAMES.join("|")
     );
     ExitCode::FAILURE
 }
 
-/// Reads every input (shard or bundle) and folds it into `bundle`,
-/// reporting per-file shard provenance. Returns false on the first
+/// Reads every input (a cache or a packed bundle) and folds it into
+/// `bundle`, reporting per-file shard provenance. Returns false on the first
 /// unreadable input — partial packs would ship silently-thin bundles.
 fn absorb_inputs(bundle: &mut TuneBundle, inputs: &[String]) -> bool {
     for input in inputs {
-        match TuneBundle::read_any(Path::new(input)) {
+        match TuneBundle::read(Path::new(input)) {
             Ok(read) => {
                 for shard in read.shards() {
                     println!("  {input}: {} ({} entries)", shard.describe(), shard.len());
@@ -119,7 +122,7 @@ fn cmd_merge(args: &Args) -> ExitCode {
     if inputs.is_empty() {
         return usage();
     }
-    let mut bundle = match TuneBundle::read_any(Path::new(target)) {
+    let mut bundle = match TuneBundle::read(Path::new(target)) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read {target}: {e}");
@@ -147,7 +150,7 @@ fn cmd_inspect(args: &Args) -> ExitCode {
     let Some(path) = args.positional.get(1) else {
         return usage();
     };
-    let bundle = match TuneBundle::read_any(Path::new(path)) {
+    let bundle = match TuneBundle::read(Path::new(path)) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
@@ -173,7 +176,7 @@ fn cmd_extract(args: &Args) -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let bundle = match TuneBundle::read_any(Path::new(path)) {
+    let bundle = match TuneBundle::read(Path::new(path)) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
@@ -191,7 +194,9 @@ fn cmd_extract(args: &Args) -> ExitCode {
         }
         return ExitCode::FAILURE;
     };
-    if let Err(e) = shard.write(&PathBuf::from(out)) {
+    let mut extracted = TuneBundle::new();
+    extracted.absorb(shard.clone());
+    if let Err(e) = extracted.write(Path::new(out)) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
