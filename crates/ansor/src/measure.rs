@@ -119,7 +119,6 @@ pub fn schedule_profile(
         .min(8);
 
     KernelProfile {
-        name: format!("ansor_{workload:?}"),
         grid_blocks: grid,
         block: BlockResources::new(
             schedule.threads() as u32,

@@ -162,8 +162,8 @@ fn ablation_swizzle(t4: &GpuArch) {
         c1.swizzle = 1;
         let mut c4 = GemmConfig::turing_default();
         c4.swizzle = 4;
-        let t1 = simulate_kernel(t4, &gemm_profile(t4, &problem, &c1, &ep, None)).total_us;
-        let t4_ = simulate_kernel(t4, &gemm_profile(t4, &problem, &c4, &ep, None)).total_us;
+        let t1 = simulate_kernel(t4, &gemm_profile(t4, &problem, &c1, &ep)).total_us;
+        let t4_ = simulate_kernel(t4, &gemm_profile(t4, &problem, &c4, &ep)).total_us;
         table.row(&[
             format!("{mnk}^3"),
             fmt_us(t1),

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use bolt::faults::{self, ChaosConfig};
 use bolt::BoltConfig;
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{fmt_us, percentile, write_results, Table};
 use bolt_gpu_sim::GpuArch;
 use bolt_models::zoo::sample_inputs;
 use bolt_serve::{BoltServer, EngineRegistry, OnlineConfig, Outcome, ServeConfig};
@@ -59,14 +59,6 @@ fn chaos_config(seed: u64) -> ChaosConfig {
         batch_stall: Duration::from_micros(200),
         ..ChaosConfig::default()
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn run_seed(seed: u64) -> Row {
@@ -289,11 +281,5 @@ fn main() {
         mean_recovery_ms,
         worst_p99,
     );
-    let out_dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("chaos_serving.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    write_bench_json("BENCH_chaos.json", &json);
+    write_results("chaos_serving", "BENCH_chaos.json", &json);
 }

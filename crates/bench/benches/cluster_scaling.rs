@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt::BoltConfig;
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{exit_on_failed_gates, fmt_us, percentile, write_results, Table};
 use bolt_cluster::{Cluster, ClusterConfig, ClusterError, ModelSpec, PlacementPolicy, ReplicaSpec};
 use bolt_gpu_sim::GpuArch;
 use bolt_serve::{EngineRegistry, Outcome, ServeConfig};
@@ -110,14 +110,6 @@ fn probe_batch8_us() -> f64 {
         .compile_heuristic_bucket(MODEL, MAX_BATCH)
         .expect("heuristic compile");
     engine.time().total_us
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 struct Cell {
@@ -384,13 +376,7 @@ fn main() {
         cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n"),
         chaos,
     );
-    let dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("cluster_scaling.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    write_bench_json("BENCH_cluster.json", &json);
+    write_results("cluster_scaling", "BENCH_cluster.json", &json);
 
     // Gates, on the unrounded figures, after the results are written.
     let mut failed = Vec::new();
@@ -410,10 +396,5 @@ fn main() {
             "availability under replica kills is {pct:.2}%, below 99%"
         ));
     }
-    if !failed.is_empty() {
-        for reason in &failed {
-            eprintln!("gate failed: {reason}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failed_gates(&failed);
 }

@@ -19,7 +19,7 @@ use bolt_tensor::{Activation, DType};
 /// write D, plus the activation's arithmetic.
 fn tvm_eltwise_us(arch: &GpuArch, elems: usize, act: Activation) -> f64 {
     let bytes = (2 * elems) as f64 * 2.0; // read + write FP16
-    let mut profile = KernelProfile::memory_only("tvm_bias_act", bytes);
+    let mut profile = KernelProfile::memory_only(bytes);
     profile.flops.cuda_core = (act.fma_ops_per_elem() + 2.0) * elems as f64;
     profile.flops.sfu = act.sfu_ops_per_elem() * elems as f64;
     simulate_kernel(arch, &profile).total_us

@@ -8,7 +8,7 @@
 //!
 //! Bolt's tuning time is printed twice. The paper's profiler measures
 //! its whole candidate shortlist, which is what the "within 20 minutes"
-//! claim counts; the second compile here turns roofline pruning off to
+//! claim counts; the second compile here turns candidate pruning off to
 //! charge exactly that. The pruned figure is what this reproduction
 //! charges by default. Pruning is admissible, so both compiles must
 //! select the same kernels and price to the same latency.

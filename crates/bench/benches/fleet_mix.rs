@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt::{BoltConfig, TuneBundle};
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{exit_on_failed_gates, experiments_dir, fmt_us, percentile, write_results, Table};
 use bolt_cluster::{
     Cluster, ClusterConfig, ClusterError, ModelSpec, PlacementClass, PlacementPolicy, ReplicaSpec,
 };
@@ -162,14 +162,6 @@ fn probe_batch8_us() -> f64 {
         .compile_heuristic_bucket(MODEL, MAX_BATCH)
         .expect("heuristic compile");
     engine.time().total_us
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 struct Cell {
@@ -401,11 +393,7 @@ fn main() {
         cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n"),
         aware / blind.max(1e-9),
     );
-    let path = dir.join("fleet_mix.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    write_bench_json("BENCH_fleet.json", &json);
+    write_results("fleet_mix", "BENCH_fleet.json", &json);
 
     // Gates, on the unrounded figures, after the results are written.
     let mut failed = Vec::new();
@@ -420,10 +408,5 @@ fn main() {
             "mixed-fleet cost/SLO goodput {aware:.1} rps is below arch-blind hashing {blind:.1} rps"
         ));
     }
-    if !failed.is_empty() {
-        for reason in &failed {
-            eprintln!("gate failed: {reason}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failed_gates(&failed);
 }

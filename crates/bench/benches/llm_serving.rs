@@ -33,7 +33,7 @@
 //! Run with: `cargo bench --bench llm_serving`
 
 use bolt::BoltConfig;
-use bolt_bench::{experiments_dir, write_bench_json, Table};
+use bolt_bench::{exit_on_failed_gates, write_results, Table};
 use bolt_gpu_sim::GpuArch;
 use bolt_models::{sample_prompts, PromptLengths};
 use bolt_serve::{BatchMode, ContinuousBatcher, LlmServeConfig, SequenceRequest};
@@ -514,13 +514,7 @@ fn main() {
         pressure_json_rows(&pressure_warm),
         goodput_ratio,
     );
-    let out_dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("llm_serving.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    write_bench_json("BENCH_llm.json", &json);
+    write_results("llm_serving", "BENCH_llm.json", &json);
 
     // Gates, on the unrounded figures, after the results are written.
     let mut failed = Vec::new();
@@ -588,10 +582,5 @@ fn main() {
             "warm goodput at the moderate budget is {goodput_ratio:.3}x unconstrained, below 0.7x"
         ));
     }
-    if !failed.is_empty() {
-        for reason in &failed {
-            eprintln!("gate failed: {reason}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failed_gates(&failed);
 }

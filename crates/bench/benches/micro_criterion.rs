@@ -14,7 +14,7 @@ use bolt_tensor::{DType, Tensor};
 
 fn bench_simulator(c: &mut Criterion) {
     let t4 = GpuArch::tesla_t4();
-    let profile = KernelProfile::memory_only("x", 1e8);
+    let profile = KernelProfile::memory_only(1e8);
     c.bench_function("simulate_kernel", |b| {
         b.iter(|| std::hint::black_box(simulate_kernel(&t4, &profile)))
     });

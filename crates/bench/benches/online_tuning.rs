@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt::BoltConfig;
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{fmt_us, write_results, Table};
 use bolt_gpu_sim::GpuArch;
 use bolt_serve::{EngineRegistry, OnlineConfig, OnlineEngineManager};
 
@@ -173,12 +173,6 @@ fn main() {
         total_cold_tuning,
         total_warm_tuning,
     );
-    let out_dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&out_dir);
-    let path = out_dir.join("online_tuning.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    write_bench_json("BENCH_online.json", &json);
+    write_results("online_tuning", "BENCH_online.json", &json);
     let _ = std::fs::remove_dir_all(&dir);
 }

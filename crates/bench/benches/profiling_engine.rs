@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use bolt::{BoltCompiler, BoltConfig, BoltProfiler, ProfileTask, ProfilerStats};
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{fmt_us, write_results, Table};
 use bolt_cutlass::Epilogue;
 use bolt_gpu_sim::GpuArch;
 use bolt_models::{bert, model_by_name};
@@ -144,12 +144,5 @@ fn main() {
         "{{\n  \"workload_sets\": [\n{}\n  ]\n}}\n",
         json_sets.join(",\n")
     );
-    let dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("profiling_engine.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    // Headline compile-time result at the workspace root for CI.
-    write_bench_json("BENCH_compile.json", &json);
+    write_results("profiling_engine", "BENCH_compile.json", &json);
 }

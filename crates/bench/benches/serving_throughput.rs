@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bolt::BoltConfig;
-use bolt_bench::{experiments_dir, fmt_us, write_bench_json, Table};
+use bolt_bench::{fmt_us, write_results, Table};
 use bolt_gpu_sim::GpuArch;
 use bolt_serve::{BoltServer, EngineRegistry, MetricsSnapshot, ServeConfig, ServeError};
 use bolt_tensor::{DType, Tensor};
@@ -356,14 +356,7 @@ fn main() {
         json_exec.join(",\n"),
         json_batched.join(",\n")
     );
-    let dir = experiments_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("serving_throughput.json");
-    if std::fs::write(&path, &json).is_ok() {
-        println!("wrote {}", path.display());
-    }
-    // Headline serving result at the workspace root for CI.
-    write_bench_json("BENCH_serve.json", &json);
+    write_results("serving_throughput", "BENCH_serve.json", &json);
 
     if check {
         let mut regressed = false;

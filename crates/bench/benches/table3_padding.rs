@@ -77,7 +77,7 @@ fn main() {
         let elt = 2.0;
         let pad_bytes =
             (problem.n * problem.h * problem.w) as f64 * (problem.c + padded_c) as f64 * elt;
-        let mut pad_profile = KernelProfile::memory_only("pad", pad_bytes);
+        let mut pad_profile = KernelProfile::memory_only(pad_bytes);
         // Reads are alignment-2, writes alignment-8: effective width ~4.
         pad_profile.alignment_elems = 4;
         let pad_us = simulate_kernel(&t4, &pad_profile).total_us;

@@ -95,13 +95,43 @@ pub fn workspace_root() -> PathBuf {
     dir
 }
 
-/// Writes a headline benchmark result as `<name>` at the workspace root
-/// (e.g. `BENCH_serve.json`), where CI and EXPERIMENTS.md pick it up.
-pub fn write_bench_json(name: &str, json: &str) {
-    let path = workspace_root().join(name);
-    if fs::write(&path, json).is_ok() {
-        println!("wrote {}", path.display());
+/// Writes a bench's JSON result as `<stem>.json` under
+/// [`experiments_dir`] and as the headline `bench_name` (e.g.
+/// `BENCH_serve.json`) at the workspace root, where CI and EXPERIMENTS.md
+/// pick it up.
+pub fn write_results(stem: &str, bench_name: &str, json: &str) {
+    let dir = experiments_dir();
+    let _ = fs::create_dir_all(&dir);
+    for path in [
+        dir.join(format!("{stem}.json")),
+        workspace_root().join(bench_name),
+    ] {
+        if fs::write(&path, json).is_ok() {
+            println!("wrote {}", path.display());
+        }
     }
+}
+
+/// Ends a self-gating bench: prints each failed condition as `gate
+/// failed: …` and exits with status 1, or returns when none failed.
+pub fn exit_on_failed_gates(failed: &[String]) {
+    if failed.is_empty() {
+        return;
+    }
+    for reason in failed {
+        eprintln!("gate failed: {reason}");
+    }
+    std::process::exit(1);
+}
+
+/// The nearest-rank `p`-quantile (`p` in 0..=1) of an ascending-sorted
+/// sample; 0 for an empty one.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Formats a microsecond time compactly.

@@ -27,8 +27,9 @@ pub struct BoltConfig {
     /// Run graph deployment passes (BN fold + RepVGG re-parameterization)
     /// before compilation.
     pub deployment_passes: bool,
-    /// Skip candidates whose analytic roofline lower bound already
-    /// exceeds the best measured time. Admissible — never changes the
+    /// Skip candidates whose analytic lower bound
+    /// (`bolt_cutlass::perf::CandidateBound`) already exceeds the best
+    /// measured time. Admissible — never changes the
     /// selected winner, only the measurement count.
     pub candidate_pruning: bool,
     /// On-disk autotune cache location. Loaded (if present and valid) at

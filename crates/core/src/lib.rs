@@ -74,7 +74,9 @@ pub use plan::{
     StepTimings,
 };
 pub use profiler::{BoltProfiler, ProfileTask, ProfiledKernel, ProfilerStats};
-pub use runtime::{slice_batch, stack_batch, CompiledModel, Step, StepKind, TimingReport};
+pub use runtime::{
+    logical_dims, slice_batch, stack_batch, CompiledModel, Step, StepKind, TimingReport,
+};
 
 /// Result alias for compiler operations.
 pub type Result<T> = std::result::Result<T, BoltError>;

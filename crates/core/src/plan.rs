@@ -864,6 +864,8 @@ pub struct ExecutionPlan {
 struct Pricing {
     report: TimingReport,
     timings: StepTimings,
+    /// Each step's simulated time (index-aligned with `steps`).
+    times: Vec<KernelTime>,
     flops: f64,
 }
 
@@ -1101,12 +1103,12 @@ impl ExecutionPlan {
 
     fn pricing(&self) -> &Pricing {
         self.pricing.get_or_init(|| {
+            let times: Vec<KernelTime> = self.steps.iter().map(|s| self.step_time(s)).collect();
             let mut timings = StepTimings::default();
             let mut timeline = Timeline::new();
-            for (i, step) in self.steps.iter().enumerate() {
-                let time = self.step_time(step);
-                timings.observe(i, step, &time);
-                timeline.push(step.name.clone(), &time);
+            for (i, (step, time)) in self.steps.iter().zip(&times).enumerate() {
+                timings.observe(i, step, time);
+                timeline.push(step.name.clone(), time);
             }
             Pricing {
                 report: TimingReport {
@@ -1114,12 +1116,13 @@ impl ExecutionPlan {
                     timeline,
                 },
                 timings,
+                times,
                 flops: self.count_flops(),
             }
         })
     }
 
-    pub(crate) fn step_time(&self, step: &Step) -> KernelTime {
+    fn step_time(&self, step: &Step) -> KernelTime {
         match &step.kind {
             StepKind::Gemm { kernel, .. } => kernel.time(&self.arch),
             StepKind::Conv2d { kernel, .. } => kernel.time(&self.arch),
@@ -1127,7 +1130,7 @@ impl ExecutionPlan {
             StepKind::GemmChain { chain, .. } => chain.time(&self.arch),
             StepKind::B2bConv { kernel, .. } => kernel.time(&self.arch),
             StepKind::LayoutTransform { bytes, fused } => {
-                let mut profile = KernelProfile::memory_only("layout_transform", *bytes * 2.0);
+                let mut profile = KernelProfile::memory_only(*bytes * 2.0);
                 // NCHW reads are W-contiguous, NHWC writes C-contiguous;
                 // one side is strided.
                 profile.alignment_elems = 4;
@@ -1140,7 +1143,7 @@ impl ExecutionPlan {
                 t
             }
             StepKind::PadChannels { bytes } => {
-                let mut profile = KernelProfile::memory_only("pad_channels", *bytes);
+                let mut profile = KernelProfile::memory_only(*bytes);
                 profile.alignment_elems = 2; // source is the unaligned tensor
                 simulate_kernel(&self.arch, &profile)
             }
@@ -1201,8 +1204,7 @@ impl ExecutionPlan {
         for (i, step) in self.steps.iter().enumerate() {
             let produced = self.execute_step(i, step, frame, ws)?;
             if let Some(obs) = observer.as_deref_mut() {
-                let time = self.step_time(step);
-                obs.observe(i, step, &time);
+                obs.observe(i, step, &self.pricing().times[i]);
             }
             // Release dying inputs, then store: the output may reuse a
             // slot released on this very step. Their buffers go back to

@@ -163,23 +163,6 @@ impl From<&Epilogue> for Epilogue2 {
 /// one thread runs the initializer, the rest block and read the result.
 type Slot = Arc<OnceLock<Option<ProfiledKernel>>>;
 
-/// Locally-accumulated stats, merged into the shared [`ProfilerStats`]
-/// once per call (once per batch in [`BoltProfiler::profile_batch`])
-/// instead of taking the stats lock per workload.
-#[derive(Debug, Default, Clone, Copy)]
-struct StatsDelta {
-    workloads: usize,
-    measurements: usize,
-    pruned: usize,
-    cache_hits: usize,
-}
-
-impl StatsDelta {
-    fn is_empty(&self) -> bool {
-        self.workloads == 0 && self.measurements == 0 && self.pruned == 0 && self.cache_hits == 0
-    }
-}
-
 /// The profiler: candidate enumeration + pruning + measurement + caching.
 #[derive(Debug)]
 pub struct BoltProfiler {
@@ -245,7 +228,7 @@ impl BoltProfiler {
     /// Concurrent calls with the same key are coalesced: one thread
     /// measures, the others count a cache hit and reuse its result.
     pub fn profile_task(&self, task: &ProfileTask) -> Option<ProfiledKernel> {
-        let mut delta = StatsDelta::default();
+        let mut delta = ProfilerStats::default();
         let result = self.profile_task_with(task, &mut delta);
         self.merge_stats(&delta);
         result
@@ -257,7 +240,7 @@ impl BoltProfiler {
     fn profile_task_with(
         &self,
         task: &ProfileTask,
-        delta: &mut StatsDelta,
+        delta: &mut ProfilerStats,
     ) -> Option<ProfiledKernel> {
         let slot = self.slots.lock().entry(task.key()).or_default().clone();
         let mut ran = false;
@@ -271,8 +254,8 @@ impl BoltProfiler {
         result
     }
 
-    fn merge_stats(&self, delta: &StatsDelta) {
-        if delta.is_empty() {
+    fn merge_stats(&self, delta: &ProfilerStats) {
+        if *delta == ProfilerStats::default() {
             return;
         }
         let mut stats = self.stats.lock();
@@ -328,7 +311,7 @@ impl BoltProfiler {
                 .copied()
                 .collect()
         };
-        let mut delta = StatsDelta::default();
+        let mut delta = ProfilerStats::default();
         for task in &pending {
             self.profile_task_with(task, &mut delta);
         }
@@ -336,7 +319,7 @@ impl BoltProfiler {
     }
 
     /// Measures every non-pruned candidate of a task and returns the best.
-    fn measure(&self, task: &ProfileTask, delta: &mut StatsDelta) -> Option<ProfiledKernel> {
+    fn measure(&self, task: &ProfileTask, delta: &mut ProfilerStats) -> Option<ProfiledKernel> {
         // Chaos: a measurement may stall (slow device, contended stream).
         crate::faults::stall(crate::faults::FaultSite::Profile);
         match task {
@@ -345,9 +328,7 @@ impl BoltProfiler {
                 self.search(
                     self.generator.gemm_candidate_seeds(problem),
                     |config| {
-                        bolt_cutlass::perf::gemm_search_profile(
-                            &self.arch, problem, config, epilogue, None,
-                        )
+                        bolt_cutlass::perf::gemm_profile(&self.arch, problem, config, epilogue)
                     },
                     |seed| bound.lower_bound_us(&self.arch, seed),
                     delta,
@@ -364,8 +345,8 @@ impl BoltProfiler {
                 self.search(
                     self.generator.conv2d_candidate_seeds(problem, *element),
                     |config| {
-                        bolt_cutlass::perf::conv2d_search_profile(
-                            &self.arch, problem, config, epilogue, *element, None,
+                        bolt_cutlass::perf::conv2d_profile(
+                            &self.arch, problem, config, epilogue, *element,
                         )
                     },
                     |seed| bound.lower_bound_us(&self.arch, seed),
@@ -379,7 +360,7 @@ impl BoltProfiler {
     /// score first, so a near-best time is established within the first
     /// few measurements).
     ///
-    /// With pruning on, every candidate's admissible
+    /// Every candidate's admissible
     /// [`bolt_cutlass::perf::CandidateBound`] is evaluated up front —
     /// without building the candidate's simulator setup (its
     /// [`KernelProfile`]) — and the candidate with the *lowest* bound is
@@ -393,12 +374,15 @@ impl BoltProfiler {
     /// time or by an equal time at a lower generator index — exactly the
     /// tie-break exhaustive search applies — so the selected winner is
     /// bit-identical to exhaustive search.
+    ///
+    /// With pruning off every bound is `-inf`: the seed is candidate 0,
+    /// nothing is pruned, and the loop is the in-order exhaustive scan.
     fn search(
         &self,
         candidates: Vec<bolt_cutlass::CandidateSeed>,
         profile_of: impl Fn(&GemmConfig) -> KernelProfile,
         bound_of: impl Fn(&bolt_cutlass::CandidateSeed) -> f64,
-        delta: &mut StatsDelta,
+        delta: &mut ProfilerStats,
     ) -> Option<ProfiledKernel> {
         if self.heuristic {
             // Default-config shortcut: price the first legal candidate on
@@ -411,56 +395,42 @@ impl BoltProfiler {
                 candidates: candidates.len(),
             });
         }
-        let mut best: Option<(usize, f64)> = None;
-        let mut measured = 0usize;
-        let mut pruned = 0usize;
-        if self.pruning {
-            let bounds: Vec<f64> = candidates.iter().map(&bound_of).collect();
-            // Seed with the argmin-bound candidate (earliest on ties).
-            let seed = bounds
-                .iter()
-                .enumerate()
-                .reduce(|min, x| if x.1 < min.1 { x } else { min })
-                .map(|(i, _)| i);
-            if let Some(seed) = seed {
-                let t = simulate_kernel(&self.arch, &profile_of(&candidates[seed].config)).total_us;
-                measured += 1;
-                best = Some((seed, t));
-            }
-            for (i, bound) in bounds.iter().enumerate() {
-                let (best_i, best_us) = best.expect("seeded above");
-                if Some(i) == seed {
-                    continue;
-                }
-                if *bound > best_us {
-                    pruned += 1;
-                    continue;
-                }
-                let t = simulate_kernel(&self.arch, &profile_of(&candidates[i].config)).total_us;
-                measured += 1;
-                // The seed may sit at a higher index than `i`, so an exact
-                // tie must fall to the lower index to match the in-order
-                // exhaustive scan.
-                if t < best_us || (t == best_us && i < best_i) {
-                    best = Some((i, t));
-                }
-            }
+        let bounds: Vec<f64> = if self.pruning {
+            candidates.iter().map(&bound_of).collect()
         } else {
-            for (i, seed) in candidates.iter().enumerate() {
-                let t = simulate_kernel(&self.arch, &profile_of(&seed.config)).total_us;
-                measured += 1;
-                let better = match best {
-                    None => true,
-                    Some((_, best_us)) => t < best_us,
-                };
-                if better {
-                    best = Some((i, t));
-                }
+            vec![f64::NEG_INFINITY; candidates.len()]
+        };
+        // Seed with the argmin-bound candidate (earliest on ties).
+        let seed = bounds
+            .iter()
+            .enumerate()
+            .reduce(|min, x| if x.1 < min.1 { x } else { min })
+            .map(|(i, _)| i);
+        let mut best: Option<(usize, f64)> = None;
+        if let Some(seed) = seed {
+            let t = simulate_kernel(&self.arch, &profile_of(&candidates[seed].config)).total_us;
+            delta.measurements += 1;
+            best = Some((seed, t));
+        }
+        for (i, bound) in bounds.iter().enumerate() {
+            let (best_i, best_us) = best.expect("seeded above");
+            if Some(i) == seed {
+                continue;
+            }
+            if *bound > best_us {
+                delta.pruned += 1;
+                continue;
+            }
+            let t = simulate_kernel(&self.arch, &profile_of(&candidates[i].config)).total_us;
+            delta.measurements += 1;
+            // The seed may sit at a higher index than `i`, so an exact
+            // tie must fall to the lower index to match the in-order
+            // exhaustive scan.
+            if t < best_us || (t == best_us && i < best_i) {
+                best = Some((i, t));
             }
         }
         delta.workloads += 1;
-        delta.measurements += measured;
-        delta.pruned += pruned;
         best.map(|(i, time_us)| ProfiledKernel {
             config: candidates[i].config,
             time_us,
@@ -647,18 +617,17 @@ mod tests {
     #[test]
     fn profiled_best_is_at_least_as_good_as_default() {
         let p = profiler();
+        let arch = GpuArch::tesla_t4();
         let problem = GemmProblem::fp16(4096, 4096, 4096);
         let ep = Epilogue::linear(DType::F16);
         let best = p.profile_gemm(&problem, &ep).unwrap();
-        let default_profile = bolt_cutlass::perf::gemm_profile(
-            &GpuArch::tesla_t4(),
-            &problem,
-            &GemmConfig::turing_default(),
-            &ep,
-            None,
-        );
-        let default_t = simulate_kernel(&GpuArch::tesla_t4(), &default_profile).total_us;
+        let default_profile =
+            bolt_cutlass::perf::gemm_profile(&arch, &problem, &GemmConfig::turing_default(), &ep);
+        let default_t = simulate_kernel(&arch, &default_profile).total_us;
         assert!(best.time_us <= default_t * 1.0001);
+        // The search and the plan price the winner through one function.
+        let planned = bolt_cutlass::GemmKernel::new(problem, best.config, ep).time(&arch);
+        assert_eq!(best.time_us.to_bits(), planned.total_us.to_bits());
     }
 
     #[test]
@@ -797,10 +766,13 @@ mod tests {
     fn conv_profile_finds_config() {
         let p = profiler();
         let problem = Conv2dProblem::new(32, 20, 26, 46, 32, 3, 3, (1, 1), (1, 1));
-        let best = p
-            .best_conv_config(&problem, &Epilogue::linear(DType::F16), DType::F16)
-            .unwrap();
+        let ep = Epilogue::linear(DType::F16);
+        let best = p.best_conv_config(&problem, &ep, DType::F16).unwrap();
         // Alignment must reflect the unaligned channel count.
         assert_eq!(best.gemm.alignment_a, 2);
+        // The search and the plan price the winner through one function.
+        let time_us = p.profile_conv2d(&problem, &ep, DType::F16).unwrap().time_us;
+        let planned = bolt_cutlass::Conv2dKernel::new(problem, best, ep, DType::F16).time(p.arch());
+        assert_eq!(time_us.to_bits(), planned.total_us.to_bits());
     }
 }

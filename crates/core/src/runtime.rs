@@ -25,7 +25,6 @@ use bolt_gpu_sim::{simulate_kernel, GpuArch, KernelProfile, KernelTime, Timeline
 use bolt_graph::{Graph, NodeId, OpKind, PoolKind};
 use bolt_tensor::{activation::apply_slice, DType, Layout, Tensor};
 
-use crate::config::BoltConfig;
 use crate::error::BoltError;
 use crate::plan::ExecutionPlan;
 use crate::Result;
@@ -194,11 +193,6 @@ impl CompiledModel {
         self.plan.arch()
     }
 
-    /// The configuration the model was compiled with.
-    pub fn compile_config(&self) -> &BoltConfig {
-        self.plan.config()
-    }
-
     /// Number of device kernel launches (excludes host steps and fused
     /// transforms) — what persistent fusion and epilogue fusion reduce.
     pub fn kernel_count(&self) -> usize {
@@ -257,7 +251,7 @@ impl CompiledModel {
 /// The tensor's dimensions in the graph's logical convention: rank-4
 /// activations report NCHW regardless of storage layout, everything else
 /// reports shape order as stored.
-pub(crate) fn logical_dims(tensor: &Tensor) -> Vec<usize> {
+pub fn logical_dims(tensor: &Tensor) -> Vec<usize> {
     if tensor.shape().rank() == 4 {
         let (n, c, h, w) = tensor.dims4();
         vec![n, c, h, w]
@@ -698,7 +692,7 @@ pub(crate) fn host_group_time(arch: &GpuArch, graph: &Graph, nodes: &[NodeId]) -
             out_bytes += node.shape.numel() as f64 * elt;
         }
     }
-    let profile = KernelProfile::memory_only("tvm_fused_eltwise", in_bytes + out_bytes);
+    let profile = KernelProfile::memory_only(in_bytes + out_bytes);
     simulate_kernel(arch, &profile)
 }
 
@@ -735,7 +729,7 @@ pub(crate) fn host_op_time(arch: &GpuArch, graph: &Graph, id: NodeId) -> KernelT
             },
         };
     }
-    let profile = KernelProfile::memory_only(node.kind.name(), bytes);
+    let profile = KernelProfile::memory_only(bytes);
     simulate_kernel(arch, &profile)
 }
 

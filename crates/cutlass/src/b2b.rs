@@ -323,8 +323,8 @@ impl B2bGemmKernel {
     pub fn profile(&self, arch: &GpuArch) -> KernelProfile {
         let elt = self.gemm0.element.size_bytes() as f64;
         let batch = self.gemm0.batch as f64;
-        let p0 = perf::gemm_profile(arch, &self.gemm0, &self.config0, &self.epilogue0, None);
-        let p1 = perf::gemm_profile(arch, &self.gemm1, &self.config1, &self.epilogue1, None);
+        let p0 = perf::gemm_profile(arch, &self.gemm0, &self.config0, &self.epilogue0);
+        let p1 = perf::gemm_profile(arch, &self.gemm1, &self.config1, &self.epilogue1);
 
         let grid = (self.gemm0.batch * self.gemm0.m.div_ceil(self.config0.threadblock.m)) as u64;
         let d0_bytes = batch * (self.gemm0.m * self.gemm0.n) as f64 * elt;
@@ -352,7 +352,6 @@ impl B2bGemmKernel {
         let mainloop_efficiency = (eff0 * w0 + eff1 * w1) / (w0 + w1).max(1.0);
 
         KernelProfile {
-            name: format!("b2b_gemm_{}_{}_{}", self.gemm0, self.gemm1, self.residence),
             grid_blocks: grid,
             block: self.block_resources(),
             flops,
@@ -649,7 +648,6 @@ impl B2bConvKernel {
             &self.config0.gemm,
             &self.epilogue0,
             self.element,
-            None,
         );
         let p1 = perf::conv2d_profile(
             arch,
@@ -657,7 +655,6 @@ impl B2bConvKernel {
             &self.config1.gemm,
             &self.epilogue1,
             self.element,
-            None,
         );
         let (m0, n0, _) = self.conv0.implicit_gemm_mnk();
         let d0_bytes = (m0 * n0) as f64 * elt;
@@ -670,10 +667,6 @@ impl B2bConvKernel {
         };
         let b2b = self.as_b2b_gemm();
         KernelProfile {
-            name: format!(
-                "b2b_conv_{}x{}_{}ch_{}",
-                self.conv0.h, self.conv0.w, self.conv0.k, self.residence
-            ),
             grid_blocks: grid,
             block: b2b.block_resources(),
             flops: PipelineFlops {

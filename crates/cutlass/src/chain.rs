@@ -335,7 +335,7 @@ impl PersistentGemmChain {
         let profiles: Vec<KernelProfile> = self
             .stages
             .iter()
-            .map(|s| perf::gemm_profile(arch, &s.problem, &s.config, &s.epilogue, None))
+            .map(|s| perf::gemm_profile(arch, &s.problem, &s.config, &s.epilogue))
             .collect();
 
         let first = &self.stages[0];
@@ -372,7 +372,6 @@ impl PersistentGemmChain {
             (last.problem.m * last.problem.n) as f64 * last.epilogue.out_dtype.size_bytes() as f64;
 
         KernelProfile {
-            name: format!("persistent_chain_x{}_{}", self.len(), self.residence),
             grid_blocks: grid,
             block: self.block_resources(),
             flops,

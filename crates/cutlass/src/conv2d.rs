@@ -222,7 +222,6 @@ impl Conv2dKernel {
             &self.config.gemm,
             &self.epilogue,
             self.element,
-            None,
         )
     }
 

@@ -495,7 +495,7 @@ impl GemmKernel {
 
     /// The kernel's performance profile for the GPU simulator.
     pub fn profile(&self, arch: &GpuArch) -> KernelProfile {
-        perf::gemm_profile(arch, &self.problem, &self.config, &self.epilogue, None)
+        perf::gemm_profile(arch, &self.problem, &self.config, &self.epilogue)
     }
 
     /// Simulated execution time on `arch`.

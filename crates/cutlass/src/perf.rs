@@ -104,34 +104,11 @@ fn l2_leak(arch: &GpuArch, problem_k: usize, config: &GemmConfig, element: DType
 }
 
 /// Builds the [`KernelProfile`] of a templated GEMM kernel.
-///
-/// `extra_dram_bytes` lets callers add traffic for inputs the plain model
-/// does not know about (e.g. the fused second-GEMM weights of a persistent
-/// kernel).
 pub fn gemm_profile(
     arch: &GpuArch,
     problem: &GemmProblem,
     config: &GemmConfig,
     epilogue: &Epilogue,
-    extra_dram_bytes: Option<f64>,
-) -> KernelProfile {
-    let mut profile = gemm_search_profile(arch, problem, config, epilogue, extra_dram_bytes);
-    profile.name = format!("gemm_{}_{}", problem, config.tag());
-    profile
-}
-
-/// [`gemm_profile`] without the formatted kernel name.
-///
-/// The profiler's candidate loop builds one profile per enumerated
-/// template and never reads the name; formatting it dominated the cost of
-/// profile construction, so the search path uses this variant and the
-/// name is only rendered for profiles that reach a timeline.
-pub fn gemm_search_profile(
-    arch: &GpuArch,
-    problem: &GemmProblem,
-    config: &GemmConfig,
-    epilogue: &Epilogue,
-    extra_dram_bytes: Option<f64>,
 ) -> KernelProfile {
     let tb = config.threadblock;
     let elt = problem.element.size_bytes() as f64;
@@ -173,8 +150,7 @@ pub fn gemm_search_profile(
     let dram_read = compulsory_in
         + (block_in - compulsory_in).max(0.0) * leak
         + batch * epilogue.extra_bytes(problem.m, problem.n)
-        + workspace / 2.0
-        + extra_dram_bytes.unwrap_or(0.0);
+        + workspace / 2.0;
     let out_bytes = out_elems * epilogue.out_dtype.size_bytes() as f64 + workspace / 2.0;
 
     // ---- Shared-memory traffic --------------------------------------------
@@ -184,7 +160,6 @@ pub fn gemm_search_profile(
         + 2.0 * problem.macs() as f64 * elt * (1.0 / warp.m as f64 + 1.0 / warp.n as f64);
 
     KernelProfile {
-        name: String::new(),
         grid_blocks: grid,
         block: config.block_resources(problem.element),
         flops,
@@ -226,38 +201,11 @@ pub fn pipelined_overlap(config: &GemmConfig) -> f64 {
 ///   (KRSC) is `C`, so the *input channel count* dictates alignment — the
 ///   mechanism behind Table 3's padding results.
 pub fn conv2d_profile(
-    arch: &GpuArch,
-    problem: &Conv2dProblem,
-    config: &GemmConfig,
-    epilogue: &Epilogue,
-    element: DType,
-    extra_dram_bytes: Option<f64>,
-) -> KernelProfile {
-    let mut profile =
-        conv2d_search_profile(arch, problem, config, epilogue, element, extra_dram_bytes);
-    profile.name = format!(
-        "conv2d_{}x{}x{}x{}_k{}r{}s{}_{}",
-        problem.n,
-        problem.h,
-        problem.w,
-        problem.c,
-        problem.k,
-        problem.r,
-        problem.s,
-        config.tag()
-    );
-    profile
-}
-
-/// [`conv2d_profile`] without the formatted kernel name — see
-/// [`gemm_search_profile`] for why the search path skips it.
-pub fn conv2d_search_profile(
     _arch: &GpuArch,
     problem: &Conv2dProblem,
     config: &GemmConfig,
     epilogue: &Epilogue,
     element: DType,
-    extra_dram_bytes: Option<f64>,
 ) -> KernelProfile {
     let (gm, gn, gk) = problem.implicit_gemm_mnk();
     let tb = config.threadblock;
@@ -287,8 +235,7 @@ pub fn conv2d_search_profile(
     let filter_bytes = (problem.k * problem.r * problem.s * problem.c) as f64 * elt;
     // Filters are re-read by every M-tile; the L2 usually holds them.
     let filter_read = filter_bytes * (1.0 + (grid_m as f64 - 1.0) * 0.03).min(grid_m as f64);
-    let dram_read =
-        input_read + filter_read + epilogue.extra_bytes(gm, gn) + extra_dram_bytes.unwrap_or(0.0);
+    let dram_read = input_read + filter_read + epilogue.extra_bytes(gm, gn);
     let out_bytes = out_elems * epilogue.out_dtype.size_bytes() as f64;
 
     // ---- Shared-memory traffic --------------------------------------------
@@ -304,7 +251,6 @@ pub fn conv2d_search_profile(
         .min(config.min_alignment());
 
     KernelProfile {
-        name: String::new(),
         grid_blocks: grid,
         block: config.block_resources(element),
         flops,
@@ -337,7 +283,7 @@ pub fn conv2d_search_profile(
 /// pruned candidate skip both the profile build and the simulation.
 ///
 /// Admissibility: every stream mirrors the float expressions that
-/// [`gemm_search_profile`]/[`conv2d_search_profile`] +
+/// [`gemm_profile`]/[`conv2d_profile`] +
 /// [`bolt_gpu_sim::simulate_kernel`] evaluate — same main-loop efficiency,
 /// same occupancy derates, same DRAM traffic including the L2-leak
 /// re-reads and split-K workspace, same shared-memory staging, same
@@ -425,7 +371,7 @@ impl CandidateBound {
         let elt = problem.element.size_bytes() as f64;
         let batch = problem.batch as f64;
         let (m, n, k) = (problem.m as f64, problem.n as f64, problem.k as f64);
-        // Mirrors `gemm_search_profile`'s float expressions exactly so the
+        // Mirrors `gemm_profile`'s float expressions exactly so the
         // bound's traffic never rounds above the profile's.
         let compulsory_in = batch * elt * (m * k + k * n);
         let out_elems = batch * m * n;
@@ -467,7 +413,7 @@ impl CandidateBound {
         use bolt_gpu_sim::memory::max_alignment;
         let (gm, gn, gk) = problem.implicit_gemm_mnk();
         let elt = element.size_bytes() as f64;
-        // `conv2d_search_profile`'s own constants, bit for bit.
+        // `conv2d_profile`'s own constants, bit for bit.
         let act_bytes = (problem.n * problem.h * problem.w * problem.c) as f64 * elt;
         let taps = (problem.r * problem.s) as f64;
         let overlap_miss = 0.18;
@@ -702,40 +648,6 @@ impl CandidateBound {
     }
 }
 
-/// Analytic lower bound (in µs) on the simulated time of a templated GEMM
-/// candidate.
-///
-/// The bound is admissible: it never exceeds what [`simulate_kernel`]
-/// (`bolt_gpu_sim`) would report for the same candidate, so the profiler
-/// can safely skip candidates whose bound already exceeds the running
-/// best without ever discarding the true winner. Callers evaluating many
-/// candidates of one workload should build a [`CandidateBound`] once and
-/// reuse it; this wrapper rebuilds the context per call.
-///
-/// [`simulate_kernel`]: bolt_gpu_sim::simulate_kernel
-pub fn gemm_lower_bound_us(
-    arch: &GpuArch,
-    problem: &GemmProblem,
-    config: &GemmConfig,
-    epilogue: &Epilogue,
-) -> f64 {
-    let seed = crate::generator::CandidateSeed::compute(arch, *config, problem.element);
-    CandidateBound::gemm(arch, problem, epilogue).lower_bound_us(arch, &seed)
-}
-
-/// Analytic lower bound (in µs) for an implicit-GEMM Conv2D candidate.
-/// See [`gemm_lower_bound_us`] for the admissibility contract.
-pub fn conv2d_lower_bound_us(
-    arch: &GpuArch,
-    problem: &Conv2dProblem,
-    config: &GemmConfig,
-    epilogue: &Epilogue,
-    element: DType,
-) -> f64 {
-    let seed = crate::generator::CandidateSeed::compute(arch, *config, element);
-    CandidateBound::conv2d(arch, problem, epilogue, element).lower_bound_us(arch, &seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,7 +681,6 @@ mod tests {
             &p,
             &GemmConfig::turing_default(),
             &Epilogue::linear(DType::F16),
-            None,
         );
         let t = simulate_kernel(&t4(), &prof);
         let tflops = t.tflops(p.flops());
@@ -782,7 +693,7 @@ mod tests {
         let mut c = GemmConfig::turing_default();
         c.threadblock = crate::tiles::TileShape::new(64, 64, 32);
         c.warp = crate::tiles::TileShape::new(32, 32, 32);
-        let prof = gemm_profile(&t4(), &p, &c, &Epilogue::linear(DType::F16), None);
+        let prof = gemm_profile(&t4(), &p, &c, &Epilogue::linear(DType::F16));
         let t = simulate_kernel(&t4(), &prof);
         assert_ne!(t.bound, bolt_gpu_sim::Boundedness::Compute, "{t:?}");
     }
@@ -793,8 +704,8 @@ mod tests {
         let unaligned = Conv2dProblem::new(32, 20, 26, 46, 32, 3, 3, (1, 1), (1, 1));
         let c = GemmConfig::turing_default();
         let ep = Epilogue::linear(DType::F16);
-        let pa = conv2d_profile(&t4(), &aligned, &c, &ep, DType::F16, None);
-        let pu = conv2d_profile(&t4(), &unaligned, &c, &ep, DType::F16, None);
+        let pa = conv2d_profile(&t4(), &aligned, &c, &ep, DType::F16);
+        let pu = conv2d_profile(&t4(), &unaligned, &c, &ep, DType::F16);
         assert_eq!(pa.alignment_elems, 8);
         assert_eq!(pu.alignment_elems, 2);
     }
@@ -811,12 +722,9 @@ mod tests {
         let ep = Epilogue::linear(DType::F16);
         let tu = simulate_kernel(
             &t4(),
-            &conv2d_profile(&t4(), &unpadded, &c, &ep, DType::F16, None),
+            &conv2d_profile(&t4(), &unpadded, &c, &ep, DType::F16),
         );
-        let tp = simulate_kernel(
-            &t4(),
-            &conv2d_profile(&t4(), &padded, &c, &ep, DType::F16, None),
-        );
+        let tp = simulate_kernel(&t4(), &conv2d_profile(&t4(), &padded, &c, &ep, DType::F16));
         let gain = tu.total_us / tp.total_us;
         assert!(gain > 1.3, "padding gain {gain:.2} too small");
     }
@@ -831,14 +739,12 @@ mod tests {
             &p,
             &c,
             &Epilogue::bias_activation(Activation::ReLU, DType::F16),
-            None,
         );
         let soft = gemm_profile(
             &t4(),
             &p,
             &c,
             &Epilogue::bias_activation(Activation::Softplus, DType::F16),
-            None,
         );
         assert!(soft.flops.sfu > relu.flops.sfu);
         let tr = simulate_kernel(&t4(), &relu);
@@ -869,7 +775,7 @@ mod tests {
                 let ctx = CandidateBound::gemm(&t4, problem, ep);
                 for seed in generator.gemm_candidate_seeds(problem) {
                     let bound = ctx.lower_bound_us(&t4, &seed);
-                    let profile = gemm_search_profile(&t4, problem, &seed.config, ep, None);
+                    let profile = gemm_profile(&t4, problem, &seed.config, ep);
                     let sim = simulate_kernel(&t4, &profile).total_us;
                     if !sim.is_finite() {
                         assert!(bound.is_infinite(), "finite bound {bound} for infinite sim");
@@ -901,8 +807,7 @@ mod tests {
                 let ctx = CandidateBound::conv2d(&t4, problem, ep, DType::F16);
                 for seed in generator.conv2d_candidate_seeds(problem, DType::F16) {
                     let bound = ctx.lower_bound_us(&t4, &seed);
-                    let profile =
-                        conv2d_search_profile(&t4, problem, &seed.config, ep, DType::F16, None);
+                    let profile = conv2d_profile(&t4, problem, &seed.config, ep, DType::F16);
                     let sim = simulate_kernel(&t4, &profile).total_us;
                     if !sim.is_finite() {
                         assert!(bound.is_infinite(), "finite bound {bound} for infinite sim");
@@ -965,11 +870,7 @@ mod tests {
         let seed =
             crate::generator::CandidateSeed::compute(&t4, GemmConfig::turing_default(), DType::F16);
         let bound = ctx.lower_bound_us(&t4, &seed);
-        let sim = simulate_kernel(
-            &t4,
-            &gemm_search_profile(&t4, &problem, &seed.config, &ep, None),
-        )
-        .total_us;
+        let sim = simulate_kernel(&t4, &gemm_profile(&t4, &problem, &seed.config, &ep)).total_us;
         assert!(
             bound > sim * 0.5,
             "bound {bound} too loose vs simulated {sim}"
@@ -983,8 +884,8 @@ mod tests {
         let mut small = GemmConfig::turing_default();
         small.warp = crate::tiles::TileShape::new(32, 32, 32);
         let ep = Epilogue::linear(DType::F16);
-        let pb = gemm_profile(&t4(), &p, &big, &ep, None);
-        let ps = gemm_profile(&t4(), &p, &small, &ep, None);
+        let pb = gemm_profile(&t4(), &p, &big, &ep);
+        let ps = gemm_profile(&t4(), &p, &small, &ep);
         assert!(ps.smem_bytes > pb.smem_bytes);
     }
 }

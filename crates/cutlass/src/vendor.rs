@@ -70,7 +70,7 @@ impl VendorLibrary {
         let ep = Epilogue::linear(problem.element);
         let candidates = self.generator.gemm_candidates(problem);
         let best = min_time(&self.arch, &candidates, |arch, config| {
-            perf::gemm_profile(arch, problem, config, &ep, None)
+            perf::gemm_profile(arch, problem, config, &ep)
         });
         self.gemm_cache.lock().insert(*problem, best);
         best
@@ -94,7 +94,7 @@ impl VendorLibrary {
         };
         let candidates = self.generator.conv2d_candidates(problem, DType::F16);
         let best = min_time(&self.arch, &candidates, |arch, config| {
-            perf::conv2d_profile(arch, problem, config, &ep, DType::F16, None)
+            perf::conv2d_profile(arch, problem, config, &ep, DType::F16)
         });
         self.conv_cache.lock().insert(key, best);
         best

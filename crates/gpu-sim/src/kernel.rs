@@ -43,8 +43,6 @@ impl PipelineFlops {
 /// A device-independent description of one kernel launch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelProfile {
-    /// Human-readable kernel name (shows up in timelines).
-    pub name: String,
     /// Number of threadblocks in the grid.
     pub grid_blocks: u64,
     /// Per-block resource usage.
@@ -78,9 +76,8 @@ pub struct KernelProfile {
 impl KernelProfile {
     /// A profile that only moves `bytes` through DRAM (half read, half
     /// write), e.g. an elementwise or data-movement kernel.
-    pub fn memory_only(name: &str, bytes: f64) -> Self {
+    pub fn memory_only(bytes: f64) -> Self {
         KernelProfile {
-            name: name.into(),
             grid_blocks: 1024,
             block: BlockResources::new(256, 32, 0),
             flops: PipelineFlops::none(),
@@ -282,108 +279,6 @@ pub fn sm_utilization_factor(arch: &GpuArch, blocks_per_sm: u32, grid_blocks: u6
     }
 }
 
-/// A certified analytic lower bound on [`simulate_kernel`]'s `total_us`
-/// for `profile` on `arch`: launch overhead plus the roofline
-/// `max(compute_us, dram_us, smem_us)` with every stream priced at its
-/// *undeterated* datasheet peak.
-///
-/// Because `simulate_kernel` only ever applies derating factors `<= 1`
-/// to those peaks (main-loop efficiency, latency hiding, SM utilization,
-/// alignment, bank conflicts, the 88% DRAM peak fraction) and only ever
-/// *adds* non-negative terms (overlap leak, wave tail), this bound never
-/// exceeds the simulated time. Profilers use it to skip candidates whose
-/// bound already exceeds the running best without changing the winner.
-pub fn roofline_lower_bound_us(arch: &GpuArch, profile: &KernelProfile) -> f64 {
-    let tc_peak = arch.peak_tflops(Pipeline::TensorCore, profile.dtype) * 1e6; // flops/us
-    let cc_peak = arch.peak_tflops(Pipeline::CudaCore, profile.dtype) * 1e6;
-    let sfu_peak = arch.peak_tflops(Pipeline::Sfu, profile.dtype) * 1e6;
-
-    let tc_us = if profile.flops.tensor_core > 0.0 {
-        profile.flops.tensor_core / tc_peak
-    } else {
-        0.0
-    };
-    let cc_us = if profile.flops.cuda_core > 0.0 {
-        profile.flops.cuda_core / cc_peak
-    } else {
-        0.0
-    };
-    let sfu_us = if profile.flops.sfu > 0.0 {
-        profile.flops.sfu / sfu_peak
-    } else {
-        0.0
-    };
-    let compute_us = tc_us.max(cc_us) + sfu_us;
-
-    // Raw datasheet DRAM bandwidth, NOT dram_bytes_per_us(): the achievable
-    // fraction (0.88) is itself a derate the simulator applies.
-    let dram_bw = arch.dram_bw_gbps * 1e3; // bytes/us
-    let dram_us = (profile.dram_read_bytes + profile.dram_write_bytes) / dram_bw;
-
-    let smem_us = if profile.smem_bytes > 0.0 {
-        profile.smem_bytes / arch.smem_bytes_per_us()
-    } else {
-        0.0
-    };
-
-    arch.params.launch_overhead_us + compute_us.max(dram_us).max(smem_us)
-}
-
-/// A tighter certified lower bound on [`simulate_kernel`]'s `total_us`:
-/// the roofline of [`roofline_lower_bound_us`] with every derate that is
-/// a *deterministic function of the profile itself* applied — main-loop
-/// efficiency on the compute streams, access-alignment efficiency on
-/// DRAM, bank-conflict slowdown on shared memory.
-///
-/// Admissibility: `simulate_kernel` prices each stream with the same
-/// factors *times* additional factors that are all `<= 1` (latency
-/// hiding, SM utilization) and then only *adds* non-negative terms
-/// (overlap leak, wave-quantization tail). Every stream here is therefore
-/// priced at or above the simulator's effective rate, so this bound never
-/// exceeds the simulated total — while sitting close enough to it that a
-/// profiler can prune most losing candidates instead of simulating them.
-pub fn derated_lower_bound_us(arch: &GpuArch, profile: &KernelProfile) -> f64 {
-    // Same clamp as the simulator: `eff` there is `mainloop * latency *
-    // sm_utilization <= mainloop`, so pricing at `mainloop` alone is an
-    // upper bound on the effective rate.
-    let eff = profile.mainloop_efficiency.clamp(0.01, 1.0);
-    let tc_peak = arch.peak_tflops(Pipeline::TensorCore, profile.dtype) * 1e6; // flops/us
-    let cc_peak = arch.peak_tflops(Pipeline::CudaCore, profile.dtype) * 1e6;
-    let sfu_peak = arch.peak_tflops(Pipeline::Sfu, profile.dtype) * 1e6;
-
-    let tc_us = if profile.flops.tensor_core > 0.0 {
-        profile.flops.tensor_core / (tc_peak * eff)
-    } else {
-        0.0
-    };
-    let cc_us = if profile.flops.cuda_core > 0.0 {
-        profile.flops.cuda_core / (cc_peak * eff)
-    } else {
-        0.0
-    };
-    let sfu_us = if profile.flops.sfu > 0.0 {
-        profile.flops.sfu / (sfu_peak * eff)
-    } else {
-        0.0
-    };
-    let compute_us = tc_us.max(cc_us) + sfu_us;
-
-    // Simulator DRAM rate is `dram_bytes_per_us * alignment * max(sm_util,
-    // 0.6)`; dropping the utilization factor (<= 1) can only raise the rate.
-    let dram_bw =
-        arch.dram_bytes_per_us() * alignment_efficiency(profile.dtype, profile.alignment_elems);
-    let dram_us = (profile.dram_read_bytes + profile.dram_write_bytes) / dram_bw;
-
-    let smem_us = if profile.smem_bytes > 0.0 {
-        profile.smem_bytes * bank_conflict_slowdown(profile.bank_conflict_ways)
-            / arch.smem_bytes_per_us()
-    } else {
-        0.0
-    };
-
-    arch.params.launch_overhead_us + compute_us.max(dram_us).max(smem_us)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +296,6 @@ mod tests {
             * 0.25 // L2 captures most re-reads
             + (mnk * mnk) as f64 * elt;
         KernelProfile {
-            name: format!("gemm{mnk}"),
             grid_blocks: ((mnk / 128) * (mnk / 128)) as u64,
             block: BlockResources::new(256, 160, 48 * 1024),
             flops: PipelineFlops {
@@ -447,7 +341,7 @@ mod tests {
 
     #[test]
     fn memory_only_kernel_is_memory_bound() {
-        let p = KernelProfile::memory_only("copy", 128.0 * 1024.0 * 1024.0);
+        let p = KernelProfile::memory_only(128.0 * 1024.0 * 1024.0);
         let t = simulate_kernel(&t4(), &p);
         assert_eq!(t.bound, Boundedness::Memory);
         // 128 MiB at 281.6 GB/s ≈ 476 us; within 2x including overheads.
@@ -456,7 +350,7 @@ mod tests {
 
     #[test]
     fn launch_bound_kernel() {
-        let p = KernelProfile::memory_only("tiny", 1024.0);
+        let p = KernelProfile::memory_only(1024.0);
         let t = simulate_kernel(&t4(), &p);
         assert_eq!(t.bound, Boundedness::Launch);
         assert!(t.total_us >= 3.0);
@@ -464,7 +358,7 @@ mod tests {
 
     #[test]
     fn misalignment_slows_memory_bound_kernels() {
-        let aligned = KernelProfile::memory_only("a8", 64.0 * 1024.0 * 1024.0);
+        let aligned = KernelProfile::memory_only(64.0 * 1024.0 * 1024.0);
         let mut misaligned = aligned.clone();
         misaligned.alignment_elems = 2;
         let ta = simulate_kernel(&t4(), &aligned);
@@ -478,7 +372,7 @@ mod tests {
 
     #[test]
     fn unlaunchable_profile_is_infinite() {
-        let mut p = KernelProfile::memory_only("bad", 1024.0);
+        let mut p = KernelProfile::memory_only(1024.0);
         p.block = BlockResources::new(128, 32, 128 * 1024);
         let t = simulate_kernel(&t4(), &p);
         assert!(t.total_us.is_infinite());
@@ -526,72 +420,10 @@ mod tests {
 
     #[test]
     fn wave_tail_accumulates() {
-        let mut p = KernelProfile::memory_only("waves", 1024.0 * 1024.0);
+        let mut p = KernelProfile::memory_only(1024.0 * 1024.0);
         p.grid_blocks = 100_000;
         let t = simulate_kernel(&t4(), &p);
         assert!(t.tail_us > 0.0);
-    }
-
-    #[test]
-    fn roofline_bound_never_exceeds_simulated_time() {
-        for mnk in [512, 1024, 2048, 4096] {
-            let p = big_gemm_profile(mnk);
-            let bound = roofline_lower_bound_us(&t4(), &p);
-            let t = simulate_kernel(&t4(), &p);
-            assert!(
-                bound <= t.total_us,
-                "bound {bound} exceeds simulated {} for mnk={mnk}",
-                t.total_us
-            );
-            assert!(bound > 0.0);
-        }
-        let mem = KernelProfile::memory_only("copy", 64.0 * 1024.0 * 1024.0);
-        let bound = roofline_lower_bound_us(&t4(), &mem);
-        assert!(bound <= simulate_kernel(&t4(), &mem).total_us);
-    }
-
-    #[test]
-    fn derated_bound_is_admissible_and_tighter_than_roofline() {
-        let mut profiles: Vec<KernelProfile> = [512, 1024, 2048, 4096]
-            .iter()
-            .map(|&mnk| big_gemm_profile(mnk))
-            .collect();
-        // Stress the derates the bound is allowed to apply.
-        let mut misaligned = big_gemm_profile(1024);
-        misaligned.alignment_elems = 2;
-        profiles.push(misaligned);
-        let mut conflicted = big_gemm_profile(2048);
-        conflicted.smem_bytes *= 8.0;
-        conflicted.bank_conflict_ways = 4.0;
-        profiles.push(conflicted);
-        let mut inefficient = big_gemm_profile(512);
-        inefficient.mainloop_efficiency = 0.4;
-        profiles.push(inefficient);
-        profiles.push(KernelProfile::memory_only("copy", 64.0 * 1024.0 * 1024.0));
-
-        for p in &profiles {
-            let roofline = roofline_lower_bound_us(&t4(), p);
-            let derated = derated_lower_bound_us(&t4(), p);
-            let t = simulate_kernel(&t4(), p);
-            assert!(
-                derated <= t.total_us,
-                "{}: derated bound {derated} exceeds simulated {}",
-                p.name,
-                t.total_us
-            );
-            assert!(
-                derated >= roofline - 1e-12,
-                "{}: derated bound {derated} below roofline {roofline}",
-                p.name
-            );
-        }
-    }
-
-    #[test]
-    fn roofline_bound_is_cheap_and_tracks_work() {
-        let small = roofline_lower_bound_us(&t4(), &big_gemm_profile(512));
-        let large = roofline_lower_bound_us(&t4(), &big_gemm_profile(4096));
-        assert!(large > small * 10.0, "{large} vs {small}");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! let t4 = GpuArch::tesla_t4();
 //! // A DRAM-bound elementwise kernel moving 64 MiB.
-//! let profile = KernelProfile::memory_only("eltwise", 64.0 * (1 << 20) as f64);
+//! let profile = KernelProfile::memory_only(64.0 * (1 << 20) as f64);
 //! let time = simulate_kernel(&t4, &profile);
 //! assert!(time.total_us > 100.0); // > the pure-bandwidth lower bound
 //! ```
@@ -45,10 +45,10 @@ pub mod timeline;
 
 pub use arch::{GpuArch, ModelParams};
 pub use kernel::{
-    derated_lower_bound_us, latency_hiding_factor, roofline_lower_bound_us, simulate_kernel,
-    sm_utilization_factor, Boundedness, KernelProfile, KernelTime, PipelineFlops,
+    latency_hiding_factor, simulate_kernel, sm_utilization_factor, Boundedness, KernelProfile,
+    KernelTime, PipelineFlops,
 };
-pub use memory::{alignment_efficiency, bank_conflict_slowdown, effective_dram_bandwidth};
+pub use memory::{alignment_efficiency, bank_conflict_slowdown};
 pub use occupancy::{BlockResources, Occupancy, OccupancyLimit};
 pub use pipeline::Pipeline;
 pub use timeline::{KernelEvent, Timeline};

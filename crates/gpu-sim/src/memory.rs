@@ -10,8 +10,6 @@
 
 use bolt_tensor::DType;
 
-use crate::arch::GpuArch;
-
 /// Fraction of peak DRAM bandwidth achievable when the widest legal
 /// vectorized access is `alignment_elems` elements of `dtype`.
 ///
@@ -56,12 +54,6 @@ pub fn max_alignment(dtype: DType, extent: usize) -> usize {
         align /= 2;
     }
     align
-}
-
-/// Effective DRAM bandwidth in bytes/us for accesses of the given
-/// alignment.
-pub fn effective_dram_bandwidth(arch: &GpuArch, dtype: DType, alignment_elems: usize) -> f64 {
-    arch.dram_bytes_per_us() * alignment_efficiency(dtype, alignment_elems)
 }
 
 /// Slowdown multiplier (≥ 1) for shared-memory traffic served with an
@@ -115,15 +107,6 @@ mod tests {
         // end-to-end ratio down into it).
         let gain = alignment_efficiency(DType::F16, 8) / alignment_efficiency(DType::F16, 2);
         assert!(gain > 1.5 && gain < 2.2, "gain {gain}");
-    }
-
-    #[test]
-    fn effective_bandwidth_scaling() {
-        let t4 = GpuArch::tesla_t4();
-        let full = effective_dram_bandwidth(&t4, DType::F16, 8);
-        let half = effective_dram_bandwidth(&t4, DType::F16, 4);
-        assert!(full > half);
-        assert!((full - t4.dram_bytes_per_us()).abs() < 1e-9);
     }
 
     #[test]

@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn push_accumulates() {
         let t4 = GpuArch::tesla_t4();
-        let k = simulate_kernel(&t4, &KernelProfile::memory_only("k", (1 << 20) as f64));
+        let k = simulate_kernel(&t4, &KernelProfile::memory_only((1 << 20) as f64));
         let mut tl = Timeline::new();
         assert!(tl.is_empty());
         tl.push("k1", &k);

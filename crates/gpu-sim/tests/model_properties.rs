@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 
-use bolt_gpu_sim::{
-    roofline_lower_bound_us, simulate_kernel, BlockResources, GpuArch, KernelProfile, Occupancy,
-};
+use bolt_gpu_sim::{simulate_kernel, BlockResources, GpuArch, KernelProfile, Occupancy};
 use bolt_tensor::DType;
 
 fn arbitrary_profile() -> impl Strategy<Value = KernelProfile> {
@@ -24,7 +22,6 @@ fn arbitrary_profile() -> impl Strategy<Value = KernelProfile> {
     )
         .prop_map(
             |(grid, warps, regs, smem_kib, tc, cc, bytes, align, eff)| KernelProfile {
-                name: "prop".into(),
                 grid_blocks: grid,
                 block: BlockResources::new(warps * 32, regs, smem_kib * 1024),
                 flops: bolt_gpu_sim::PipelineFlops {
@@ -115,20 +112,6 @@ proptest! {
         let more_smem = Occupancy::compute(&t4, BlockResources::new(threads, regs, (smem + 8) * 1024));
         prop_assert!(more_regs.blocks_per_sm <= base.blocks_per_sm);
         prop_assert!(more_smem.blocks_per_sm <= base.blocks_per_sm);
-    }
-
-    #[test]
-    fn roofline_bound_is_admissible(profile in arbitrary_profile()) {
-        // The pruning bound must NEVER exceed the simulated time on any
-        // profile, or candidate pruning could discard the true winner.
-        for arch in [GpuArch::tesla_t4(), GpuArch::tesla_v100(), GpuArch::a100()] {
-            let bound = roofline_lower_bound_us(&arch, &profile);
-            let t = simulate_kernel(&arch, &profile);
-            prop_assert!(
-                bound <= t.total_us,
-                "{}: bound {} exceeds simulated {}", arch.name, bound, t.total_us
-            );
-        }
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl GraphBuilder {
         &self.graph
     }
 
-    /// Mutable access to the graph under construction, for ops without a
-    /// dedicated helper.
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
-    }
-
     /// `Conv2d` with a possibly non-square `(kh, kw)` filter and
     /// asymmetric padding (Inception-style factorized convolutions),
     /// followed by `BiasAdd`.

@@ -26,14 +26,14 @@ pub struct ServeConfig {
     /// still queued past their deadline are shed at batch-formation time
     /// ([`crate::Outcome::DeadlineExceeded`]) rather than executed late.
     pub default_deadline: Option<Duration>,
-    /// Execute batches functionally (`CompiledModel::run_batched`) when
+    /// Execute batches functionally (`ExecutionPlan::run_batched`) when
     /// the model's parameters are materialized. Timing-only models (the
     /// shapes-only zoo CNNs) are always priced on the simulator only.
     pub functional: bool,
     /// Batch-bucket sizes to compile engines for. `None` selects powers
     /// of two up to [`ServeConfig::max_batch`] (always including
     /// `max_batch` itself); a formed batch runs on the smallest bucket
-    /// that fits, padded by replicating the last sample.
+    /// that fits, its padding rows zero-filled.
     pub batch_buckets: Option<Vec<usize>>,
     /// Enables online tuning: unseen batch shapes are served on a
     /// fallback path while a background tuner compiles, hot-swaps, and

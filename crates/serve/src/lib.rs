@@ -10,12 +10,12 @@
 //! 1. **Engine registry** ([`EngineRegistry`]) — compiles each model once
 //!    per batch bucket through one shared [`bolt::BoltCompiler`] (hitting
 //!    the profiler and on-disk autotune caches) and shares the immutable
-//!    `Arc<CompiledModel>` engines across threads.
+//!    `Arc<ExecutionPlan>` engines across threads.
 //! 2. **Dynamic-batching scheduler** — single-sample requests queue per
 //!    (model, shape); a batch dispatches when `max_batch` requests wait
 //!    or the oldest has waited `batch_timeout`.
 //! 3. **Worker pool** — each worker models one GPU stream: it executes
-//!    the batch functionally (`CompiledModel::run_batched`, when the
+//!    the batch functionally (`ExecutionPlan::run_batched`, when the
 //!    model's parameters are materialized) and prices it on the
 //!    `bolt-gpu-sim` timeline, yielding per-request latency = queue wait
 //!    + stream backlog + simulated kernel time.

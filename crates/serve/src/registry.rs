@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bolt::runtime::TuningSummary;
-use bolt::{BoltCompiler, BoltConfig, ExecutionPlan};
+use bolt::{logical_dims, BoltCompiler, BoltConfig, ExecutionPlan};
 use bolt_gpu_sim::GpuArch;
 use bolt_graph::{Graph, OpKind};
 use bolt_models::try_model_by_name;
@@ -200,17 +200,6 @@ impl ModelEngines {
                 .collect(),
             functional: self.functional,
         }
-    }
-}
-
-/// The tensor's dims in the graph's logical convention (NCHW for rank-4
-/// activations regardless of storage layout).
-fn logical_dims(tensor: &Tensor) -> Vec<usize> {
-    if tensor.shape().rank() == 4 {
-        let (n, c, h, w) = tensor.dims4();
-        vec![n, c, h, w]
-    } else {
-        tensor.shape().dims().to_vec()
     }
 }
 

@@ -80,11 +80,7 @@ fn figure9_epilogue_fusion_band() {
         .time_us;
     // TVM-style separate bias+activation elementwise kernel.
     let elems = (problem.m * problem.n) as f64;
-    let eltwise = simulate_kernel(
-        &t4(),
-        &KernelProfile::memory_only("eltwise", 2.0 * elems * 2.0),
-    )
-    .total_us;
+    let eltwise = simulate_kernel(&t4(), &KernelProfile::memory_only(2.0 * elems * 2.0)).total_us;
     let speedup = (plain + eltwise) / fused;
     assert!(
         (1.2..1.9).contains(&speedup),
